@@ -45,24 +45,21 @@ class ContextSet:
             raise ValueError("context times must be strictly ascending among present points")
 
 
-def _time_column(t, batch):
-    return Tensor(np.full((batch, 1), t))
-
-
 def np_encode_batch(times, values, mask, params):
-    """Masked mean of MLP([t_i, y_i]) over present points. values: (B, C, d_y)."""
-    b, c, _ = values.shape
-    acc = None
-    for i in range(c):
-        x = T.concat([_time_column(times[i], b), Tensor(values[:, i, :])], axis=1)
-        h = params(x)
-        m = Tensor(mask[:, i:i + 1].astype(np.float64))
-        contrib = m * h
-        acc = contrib if acc is None else acc + contrib
+    """Masked mean of MLP([t_i, y_i]) over present points. values: (B, C, d_y).
+
+    One MLP call covers all B*C points; masked points are computed and then
+    weighted by zero.
+    """
+    b, c, d_y = values.shape
     counts = mask.sum(axis=1, keepdims=True).astype(np.float64)
     if np.any(counts == 0):
         raise DomainError("np_encode: an element has no present context points")
-    return acc / Tensor(counts)
+    t_col = np.broadcast_to(np.asarray(times, dtype=np.float64)[None, :, None], (b, c, 1))
+    x = np.concatenate([t_col, values], axis=2).reshape(b * c, 1 + d_y)
+    h = T.reshape(params(x), (b, c, -1))
+    m = Tensor(mask[:, :, None].astype(np.float64))
+    return T.tsum(m * h, axis=1) / Tensor(counts)
 
 
 def np_encode(ctx, params):

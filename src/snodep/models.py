@@ -15,7 +15,6 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import encoders, nn
-from . import tensor as T
 from .distributions import DiagNormal, PoissonD, positive_rate, positive_sigma
 from .encoders import ContextSet
 from .ode import SolverConfig, integrate_path
@@ -123,10 +122,8 @@ class ProcessModel:
         return self.g_mlp(h)
 
     # ---- decoding ----
-    def _field(self, t, l, d):
-        b = l.values.shape[0]
-        t_col = Tensor(np.full((b, 1), t))
-        return self.trunk(T.concat([l, d, t_col], axis=1))
+    def _field(self, t, l, shift):
+        return self.trunk(l, shift, t)
 
     def _head_dist(self, latent):
         out = self.out_head(latent)
@@ -143,22 +140,15 @@ class ProcessModel:
         if query_times and query_times[0] < t0:
             raise ValueError(
                 f"query time {query_times[0]} precedes the process origin {t0}")
-        if self.cfg.kind == "np":
-            b = l0.values.shape[0]
-            dists = []
-            for t in query_times:
-                x = T.concat([l0, d, Tensor(np.full((b, 1), t))], axis=1)
-                dists.append(self._head_dist(self.trunk(x)))
-            return dists
-
-        def f(t, l, ctx):
-            return self._field(t, l, ctx)
-
         if not query_times:
             return []
+        # the trunk's input is [l, d, t]; d is fixed, so project it once
+        shift = self.trunk.first_layer_shift(d, self.cfg.d_z)
+        if self.cfg.kind == "np":
+            return [self._head_dist(self._field(t, l0, shift)) for t in query_times]
         prepend = query_times[0] != t0
         path_times = [t0] + query_times if prepend else query_times
-        states = integrate_path(f, l0, path_times, d, self.cfg.solver)
+        states = integrate_path(self._field, l0, path_times, shift, self.cfg.solver)
         if prepend:
             states = states[1:]
         return [self._head_dist(s) for s in states]
@@ -170,7 +160,8 @@ class ProcessModel:
 
     # ---- inference ----
     def predict_batch(self, times, values, mask, query_times):
-        """Deterministic inference: posterior-mean latents from the context."""
+        """Deterministic inference from the context's latents at their posterior
+        median: ``mu``, or ``exp(mu)`` for LogNormal latents."""
         l0_dist, d_dist = self.encode_batch(times, values, mask)
         zero_l0 = Tensor(np.zeros(l0_dist.mu.shape))
         zero_d = Tensor(np.zeros(d_dist.mu.shape))

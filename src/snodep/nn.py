@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
+from .tensor import ShapeError, Tensor
 
 
 def init_linear(rng, n_in, n_out):
@@ -27,13 +27,67 @@ class MLP:
 
     layers: list = field(default_factory=list)  # [(w, b), ...]
 
-    def __call__(self, x):
-        n = len(self.layers)
+    def __call__(self, x, shift=None, t=None):
+        """The network on ``x`` (2-d), as one tape node.
+
+        With ``shift``, the first layer takes a split input: ``x`` meets the
+        leading rows of its weight, ``shift`` (from :meth:`first_layer_shift`)
+        stands for the middle rows and the bias, and a scalar ``t`` meets the
+        last row. Inputs that stay fixed over many calls are projected once.
+        """
+        x = T._coerce(x)
+        ws = [w.values for w, _ in self.layers]
+        if x.values.ndim != 2:
+            raise ShapeError(f"mlp: expects a 2-d input, got shape {x.shape}")
+        n, k, rows = len(ws), x.values.shape[1], ws[0].shape[0]
+        if shift is None:
+            fits = k == rows and t is None
+        else:
+            fits = k + (t is not None) <= rows
+        if not fits:
+            raise ShapeError(f"mlp: input of width {k} does not fit {rows} weight rows")
+        acts = [x.values]                 # the input of each layer, then the output
         for i, (w, b) in enumerate(self.layers):
-            x = x @ w + b
-            if i < n - 1:
-                x = T.tanh(x)
-        return x
+            if i == 0 and shift is not None:
+                z = acts[0] @ ws[0][:k] + shift.values
+                if t is not None:
+                    z = z + t * ws[0][-1]
+            else:
+                z = acts[-1] @ ws[i] + b.values
+            acts.append(np.tanh(z) if i < n - 1 else z)
+
+        parents = [x] + ([shift] if shift is not None else [])
+        for i, (w, b) in enumerate(self.layers):
+            parents += [w] if i == 0 and shift is not None else [w, b]
+        bshapes = [b.values.shape for _, b in self.layers]
+        need_x = x.requires_grad
+        shift_shape = None if shift is None else shift.values.shape
+
+        def bwd(g):
+            grads = []                    # per layer, last first: [gb, gw]
+            for i in range(n - 1, -1, -1):
+                if i < n - 1:
+                    g = g * (1.0 - acts[i + 1] * acts[i + 1])
+                if i == 0 and shift_shape is not None:
+                    gw = np.zeros_like(ws[0])
+                    gw[:k] = acts[0].T @ g
+                    if t is not None:
+                        gw[-1] = t * g.sum(axis=0)
+                    grads += [gw, T._unbroadcast(g, shift_shape)]
+                    g_in = g @ ws[0][:k].T if need_x else None
+                else:
+                    grads += [T._unbroadcast(g, bshapes[i]), acts[i].T @ g]
+                    g_in = g @ ws[i].T if i > 0 or need_x else None
+                g = g_in
+            return [g] + grads[::-1]
+
+        return T.fused("mlp", acts[-1], parents, bwd)
+
+    def first_layer_shift(self, c, start):
+        """``c @ w0[start:start + c_width] + b0``: the first layer's response to
+        the input columns ``start`` onward that ``c`` fills, plus its bias."""
+        w, b = self.layers[0]
+        return c @ w[start:start + c.values.shape[1]] + b
 
     def tensors(self):
         out = {}
@@ -63,15 +117,38 @@ def init_lstm(rng, d_in, d_h):
 
 
 def lstm_cell(p, x, h, c):
-    gates = T.concat([x, h], axis=1) @ p.w + p.b
-    d = p.d_h
-    i = T.sigmoid(gates[:, :d])
-    f = T.sigmoid(gates[:, d:2 * d])
-    g = T.tanh(gates[:, 2 * d:3 * d])
-    o = T.sigmoid(gates[:, 3 * d:])
-    c_new = f * c + i * g
-    h_new = o * T.tanh(c_new)
-    return h_new, c_new
+    """One LSTM step -> (h_new, c_new).
+
+    A single tape node computes ``[h_new | c_new]``; the two results are its
+    column halves.
+    """
+    x, h, c = T._coerce(x), T._coerce(h), T._coerce(c)
+    w, d, dx = p.w.values, p.d_h, x.values.shape[1]
+    xh = np.concatenate([x.values, h.values], axis=1)
+    gates = xh @ w + p.b.values
+    i = T._expit(gates[:, :d])
+    f = T._expit(gates[:, d:2 * d])
+    g = np.tanh(gates[:, 2 * d:3 * d])
+    o = T._expit(gates[:, 3 * d:])
+    c_prev = c.values
+    c_new = f * c_prev + i * g
+    tc = np.tanh(c_new)
+    bshape = p.b.values.shape
+
+    def bwd(grad):
+        g_h, g_c = grad[:, :d], grad[:, d:]
+        g_c = g_c + g_h * o * (1.0 - tc * tc)
+        g_gates = np.concatenate([g_c * g * i * (1.0 - i),
+                                  g_c * c_prev * f * (1.0 - f),
+                                  g_c * i * (1.0 - g * g),
+                                  g_h * tc * o * (1.0 - o)], axis=1)
+        g_xh = g_gates @ w.T
+        return (g_xh[:, :dx], g_xh[:, dx:], g_c * f, xh.T @ g_gates,
+                T._unbroadcast(g_gates, bshape))
+
+    out = T.fused("lstm_cell", np.concatenate([o * tc, c_new], axis=1),
+                  (x, h, c, p.w, p.b), bwd)
+    return out[:, :d], out[:, d:]
 
 
 @dataclass
@@ -96,11 +173,33 @@ def init_gru(rng, d_in, d_h):
 
 
 def gru_cell(p, x, h):
-    xh = T.concat([x, h], axis=1)
-    z = T.sigmoid(xh @ p.wz + p.bz)
-    r = T.sigmoid(xh @ p.wr + p.br)
-    h_tilde = T.tanh(T.concat([x, r * h], axis=1) @ p.wh + p.bh)
-    return (1.0 - z) * h + z * h_tilde
+    """One GRU step as a single tape node."""
+    x, h = T._coerce(x), T._coerce(h)
+    wz, wr, wh = p.wz.values, p.wr.values, p.wh.values
+    dx, hv = x.values.shape[1], h.values
+    xh = np.concatenate([x.values, hv], axis=1)
+    z = T._expit(xh @ wz + p.bz.values)
+    r = T._expit(xh @ wr + p.br.values)
+    xrh = np.concatenate([x.values, r * hv], axis=1)
+    h_tilde = np.tanh(xrh @ wh + p.bh.values)
+    shapes = [b.values.shape for b in (p.bz, p.br, p.bh)]
+
+    def bwd(g):
+        g_a = g * z * (1.0 - h_tilde * h_tilde)          # at h_tilde's pre-activation
+        g_xrh = g_a @ wh.T
+        g_rh = g_xrh[:, dx:]
+        g_az = g * (h_tilde - hv) * z * (1.0 - z)
+        g_ar = g_rh * hv * r * (1.0 - r)
+        g_xh = g_az @ wz.T + g_ar @ wr.T
+        g_x = g_xh[:, :dx] + g_xrh[:, :dx]
+        g_h = g_xh[:, dx:] + g * (1.0 - z) + g_rh * r
+        return (g_x, g_h,
+                xh.T @ g_az, T._unbroadcast(g_az, shapes[0]),
+                xh.T @ g_ar, T._unbroadcast(g_ar, shapes[1]),
+                xrh.T @ g_a, T._unbroadcast(g_a, shapes[2]))
+
+    return T.fused("gru_cell", (1.0 - z) * hv + z * h_tilde,
+                   (x, h, p.wz, p.bz, p.wr, p.br, p.wh, p.bh), bwd)
 
 
 def named_tensors(struct, prefix):

@@ -110,21 +110,19 @@ class Tensor:
         return tmean(self, axis=axis, keepdims=keepdims)
 
 
-def parameter(values, rng=None):
-    """A tracked leaf tensor."""
-    return Tensor(np.array(values, dtype=np.float64), requires_grad=True)
-
-
-def constant(values):
-    return Tensor(values)
-
-
-def zeros(shape):
-    return Tensor(np.zeros(shape))
-
-
 def _coerce(x):
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+
+
+def fused(op, out, parents, bwd):
+    """One tape node for a composite op with a hand-written backward pass.
+
+    ``bwd(g)`` returns one gradient (or None) per parent. The result is an
+    untracked tensor when no parent requires grad.
+    """
+    if not any(p.requires_grad for p in parents):
+        return Tensor(out, op=op)
+    return Tensor(out, True, tuple(parents), bwd, op)
 
 
 def _check_broadcast(op, a_vals, b_vals):
@@ -382,12 +380,16 @@ _LN_FACT = np.zeros(1)
 
 
 def _ln_factorial_table(n_max):
+    # Read the shared table once and return what was extended locally: another
+    # thread may store a different (shorter) table between any two reads.
     global _LN_FACT
-    if n_max >= _LN_FACT.size:
-        start = _LN_FACT.size
-        ext = _LN_FACT[-1] + np.cumsum(np.log(np.arange(start, n_max + 1, dtype=np.float64)))
-        _LN_FACT = np.concatenate([_LN_FACT, ext])
-    return _LN_FACT
+    table = _LN_FACT
+    if n_max >= table.size:
+        start = table.size
+        ext = table[-1] + np.cumsum(np.log(np.arange(start, n_max + 1, dtype=np.float64)))
+        table = np.concatenate([table, ext])
+        _LN_FACT = table
+    return table
 
 
 def lgamma_int(k):
@@ -474,8 +476,11 @@ class Adam:
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         if isinstance(params, dict):
-            params = list(params.values())
-        self.params = list(params)
+            self.names = list(params)
+            self.params = list(params.values())
+        else:
+            self.params = list(params)
+            self.names = [f"#{i}" for i in range(len(self.params))]
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -489,9 +494,10 @@ class Adam:
             p.grad = None
 
     def step(self):
-        self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        for i, p in enumerate(self.params):
+        """One update. Raises :class:`NumericsError` naming the parameter and the
+        step, before any parameter changes, if a gradient is not finite."""
+        grads = []
+        for p in self.params:
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.values)
@@ -499,6 +505,16 @@ class Adam:
                 raise ShapeError(
                     f"adam: gradient shape {g.shape} does not match parameter {p.values.shape}"
                 )
+            grads.append(g)
+        # one check over all gradients: a call per parameter costs more than
+        # the update itself when there are many small parameters
+        if grads and not np.isfinite(np.concatenate([g.ravel() for g in grads])).all():
+            name = next(n for n, g in zip(self.names, grads) if not np.isfinite(g).all())
+            raise NumericsError(
+                f"adam: non-finite gradient for parameter {name!r} at step {self.t + 1}")
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for i, (p, g) in enumerate(zip(self.params, grads)):
             self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
             m_hat = self.m[i] / (1.0 - b1 ** self.t)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snodep import nn
+from snodep import tensor as T
 from snodep.distributions import DiagNormal, LogNormalD
 from snodep.encoders import (
     ContextSet,
@@ -71,6 +72,23 @@ class TestMeanEncoder:
         with pytest.raises(DomainError):
             np_encode_batch(np.arange(2.0), np.zeros((1, 2, 2)),
                             np.zeros((1, 2), dtype=bool), self.params)
+
+    def test_matches_per_point_loop(self):
+        # one MLP call on the (B*C, 1+d_y) stack equals one call per point
+        rng = np.random.default_rng(5)
+        times = np.sort(rng.uniform(0, 4, size=6))
+        values = rng.normal(size=(5, 6, 2))
+        for _ in range(10):
+            mask = rng.random((5, 6)) < 0.5
+            mask[:, rng.integers(6)] = True
+            acc = None
+            for i in range(6):
+                x = T.concat([Tensor(np.full((5, 1), times[i])), Tensor(values[:, i])], axis=1)
+                contrib = Tensor(mask[:, i:i + 1].astype(np.float64)) * self.params(x)
+                acc = contrib if acc is None else acc + contrib
+            loop = acc.values / mask.sum(axis=1, keepdims=True)
+            r = np_encode_batch(times, values, mask, self.params)
+            np.testing.assert_allclose(r.values, loop, rtol=0, atol=1e-12)
 
     def test_batch_rows_independent(self):
         times = np.arange(3.0)

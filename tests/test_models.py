@@ -139,6 +139,27 @@ class TestPredict:
                                     Tensor(np.exp(d_dist.mu.values)), 0.0, [0.0])[0]
         np.testing.assert_allclose(pred.mu.values, manual.mu.values, atol=1e-12)
 
+    @pytest.mark.parametrize("family", ["normal", "lognormal"])
+    def test_predicts_at_posterior_median(self, family):
+        # the median is mu (normal) or exp(mu) (lognormal); the lognormal mean,
+        # exp(mu + sigma^2 / 2), is larger and is not what predict_batch uses
+        model = ProcessModel(tiny_cfg("snodep", latent_family=family), seed=0)
+        rng = np.random.default_rng(1)
+        times, values = np.arange(3.0), rng.normal(size=(2, 3, 2))
+        mask = np.ones((2, 3), dtype=bool)
+        l0_dist, d_dist = model.encode_batch(times, values, mask)
+        link = np.exp if family == "lognormal" else (lambda v: v)
+        median = [Tensor(link(dist.mu.values)) for dist in (l0_dist, d_dist)]
+        pred = model.predict_batch(times, values, mask, [0.0, 2.0])
+        at_median = model.decode_batch(*median, 0.0, [0.0, 2.0])
+        for a, b in zip(pred, at_median):
+            np.testing.assert_array_equal(a.mu.values, b.mu.values)
+        if family == "lognormal":
+            mean = [Tensor(np.exp(dist.mu.values + 0.5 * dist.sigma.values ** 2))
+                    for dist in (l0_dist, d_dist)]
+            at_mean = model.decode_batch(*mean, 0.0, [0.0, 2.0])
+            assert not np.allclose(pred[1].mu.values, at_mean[1].mu.values)
+
     def test_checkpoint_roundtrip_preserves_predictions(self, tmp_path):
         rng = np.random.default_rng(0)
         ctx = ContextSet(np.arange(4.0), rng.normal(size=(4, 2)))

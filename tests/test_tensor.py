@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -220,6 +222,42 @@ class TestValidation:
         assert not out.requires_grad
 
 
+class TestThreads:
+    def test_ln_factorial_table_under_threads(self, monkeypatch):
+        # Three threads grow the shared ln(n!) table from empty while the
+        # interpreter switches threads as often as it can. Each must get back
+        # a table long enough and right for its own request.
+        ref = scipy.special.gammaln(np.arange(1.0, 5001.0))
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                monkeypatch.setattr(T, "_LN_FACT", np.zeros(1))
+                errors = []
+                start = threading.Barrier(3)
+
+                def work(n):
+                    start.wait(timeout=60)
+                    try:
+                        for k in range(1, n + 1):
+                            got = T.lgamma_int(k).item()
+                            if abs(got - ref[k - 1]) > 1e-9 * max(1.0, ref[k - 1]):
+                                raise AssertionError(f"lgamma_int({k}) = {got}")
+                    except (IndexError, AssertionError) as exc:
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=work, args=(n,))
+                           for n in (5000, 50, 2000)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert not errors, errors[0]
+        finally:
+            sys.setswitchinterval(old)
+
+
 class TestAdam:
     def test_first_step_is_signed_lr(self):
         p = Tensor(np.array([1.0, -1.0, 2.0]), requires_grad=True)
@@ -254,6 +292,26 @@ class TestAdam:
         opt = Adam([p], lr=0.1)
         opt.step()
         np.testing.assert_allclose(p.values, [1.0])
+
+    def test_non_finite_gradient_named_by_key_and_step(self):
+        good = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        bad = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        opt = Adam({"trunk.l0.b": good, "trunk.l1.w": bad}, lr=0.1)
+        good.grad, bad.grad = np.ones(2), np.ones(2)
+        opt.step()
+        before = [good.values.copy(), bad.values.copy()]
+        good.grad, bad.grad = np.ones(2), np.array([0.5, np.nan])
+        with pytest.raises(NumericsError, match=r"'trunk\.l1\.w'.*step 2"):
+            opt.step()
+        np.testing.assert_array_equal(good.values, before[0])
+        np.testing.assert_array_equal(bad.values, before[1])
+
+    def test_non_finite_gradient_named_by_position(self):
+        ps = [Tensor(np.zeros(3), requires_grad=True) for _ in range(2)]
+        opt = Adam(ps)
+        ps[1].grad = np.array([0.0, np.inf, 0.0])
+        with pytest.raises(NumericsError, match=r"'#1'.*step 1"):
+            opt.step()
 
     def test_converges_on_quadratic(self):
         p = Tensor(np.array([5.0, -4.0]), requires_grad=True)
