@@ -116,8 +116,8 @@ def load_expression_csv(path, day_labels=None):
 
 
 def _load_expression_tidy(path, reader):
-    counts = {}   # (day, cell) -> {gene: count}
-    genes, days = [], []
+    gene_row = {}   # gene -> row, in order of first appearance
+    by_day = {}     # day -> {cell: {row: count}}
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -130,23 +130,20 @@ def _load_expression_tidy(path, reader):
         if count < 0 or count != round(count):
             raise ValidationError(
                 f"{path}: negative or non-integer count at row {lineno}")
-        if gene not in genes:
-            genes.append(gene)
-        if day not in days:
-            days.append(day)
-        counts.setdefault((day, cell), {})[gene] = count
-    days = sorted(days)
+        i = gene_row.setdefault(gene, len(gene_row))
+        by_day.setdefault(day, {}).setdefault(cell, {})[i] = count
+    days = sorted(by_day)
     samples = []
     for day in days:
-        cells = sorted({c for (d, c) in counts if d == day})
+        cells = by_day[day]
         if not cells:
             raise ValidationError(f"{path}: day {day} has no cells")
-        mat = np.zeros((len(genes), len(cells)))
-        for j, c in enumerate(cells):
-            for i, g in enumerate(genes):
-                mat[i, j] = counts[(day, c)].get(g, 0.0)
+        mat = np.zeros((len(gene_row), len(cells)))
+        for j, c in enumerate(sorted(cells)):
+            entries = cells[c]
+            mat[list(entries), j] = list(entries.values())
         samples.append(mat)
-    return TimeSeriesDataset("expression", np.array(days), samples, genes)
+    return TimeSeriesDataset("expression", np.array(days), samples, list(gene_row))
 
 
 def _load_expression_matrix(path, header, reader, day_labels):
@@ -277,6 +274,14 @@ class PathwayDef:
     metabolites: list  # [PathwayMetabolite]
 
     def __post_init__(self):
+        for kind, names in (("gene", self.genes),
+                            ("module", [m.name for m in self.modules]),
+                            ("metabolite", [m.name for m in self.metabolites])):
+            seen = set()
+            for name in names:
+                if name in seen:
+                    raise ValidationError(f"pathway: duplicate {kind} name {name!r}")
+                seen.add(name)
         gene_set = set(self.genes)
         module_names = {m.name for m in self.modules}
         for m in self.modules:

@@ -242,11 +242,15 @@ def sigmoid(a):
     return Tensor(out, True, (a,), bwd, "sigmoid")
 
 
-def softplus(a):
+def _softplus(x):
     # max(x, 0) + log1p(exp(-|x|)): overflow-safe for large |x|
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def softplus(a):
     a = _coerce(a)
     x = a.values
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    out = _softplus(x)
     if not a.requires_grad:
         return Tensor(out, op="softplus")
     s = _expit(x)

@@ -26,10 +26,13 @@ from snodep.ode import SolverConfig, integrate
 from snodep.scfea import (
     ScfeaConfig,
     balance_loss,
+    balance_problem,
     compute_balance,
     estimate_flux_balance,
     hop2_neighbors,
+    hop2_weights,
     init_module_nets,
+    stoichiometric_matrix,
 )
 from snodep.tensor import Adam, Tensor, backward
 from snodep.training import (
@@ -378,15 +381,16 @@ def test_criterion_10_scfea_lite(capsys):
     hood = hop2_neighbors(pathway)
     nets = init_module_nets(pathway, {g: i for i, g in enumerate(pathway.genes)},
                             16, np.random.default_rng(0))
-    params = [t for net in nets for t in net.tensors().values()]
-    opt = Adam(params, lr=0.02)
-    initial = balance_loss(nets, expression, pathway, hood, 0.1).values.item()
+    problem = balance_problem(nets, expression, stoichiometric_matrix(pathway),
+                              hop2_weights(pathway, hood), 0.1)
+    opt = Adam(nets.tensors(), lr=0.02)
+    initial = balance_loss(nets, problem).values.item()
     for _ in range(2500):
-        loss = balance_loss(nets, expression, pathway, hood, 0.1)
+        loss = balance_loss(nets, problem)
         opt.zero_grad()
         backward(loss)
         opt.step()
-    final = balance_loss(nets, expression, pathway, hood, 0.1).values.item()
+    final = balance_loss(nets, problem).values.item()
     ratio = final / initial
 
     hop_rng = np.random.default_rng(0)

@@ -97,6 +97,34 @@ class TestExpressionLoaders:
         np.testing.assert_array_equal(ds.samples[0], [[3.0, 2.0], [1.0, 0.0]])
         np.testing.assert_array_equal(ds.samples[1], [[5.0], [0.0]])
 
+    def test_tidy_matches_reference_on_shuffled_rows(self, tmp_path):
+        rng = np.random.default_rng(7)
+        rows = [(f"g{rng.integers(0, 12)}", str(float(rng.integers(0, 5))),
+                 f"c{rng.integers(0, 30)}", str(int(rng.integers(0, 9))))
+                for _ in range(600)]
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        p = tmp_path / "tidy.csv"
+        p.write_text("gene,day,cell_id,count\n"
+                     + "".join(",".join(r) + "\n" for r in rows))
+
+        # straightforward reference: first-appearance gene order, sorted days,
+        # sorted cells per day, a later row for the same entry wins, zero fill
+        genes = list(dict.fromkeys(g for g, _, _, _ in rows))
+        days = sorted({float(d) for _, d, _, _ in rows})
+        last = {(g, float(d), c): float(n) for g, d, c, n in rows}
+        want = []
+        for day in days:
+            cells = sorted({c for (_, d, c) in last if d == day})
+            want.append(np.array([[last.get((g, day, c), 0.0) for c in cells]
+                                  for g in genes]))
+
+        ds = load_expression_csv(p)
+        assert ds.feature_names == genes
+        np.testing.assert_array_equal(ds.times, days)
+        assert len(ds.samples) == len(want)
+        for got, exp in zip(ds.samples, want):
+            np.testing.assert_array_equal(got, exp)
+
     def test_tidy_rejects_bad_counts(self, tmp_path):
         p = tmp_path / "tidy.csv"
         p.write_text("gene,day,cell_id,count\ng0,0,c1,2.5\n")
@@ -214,6 +242,31 @@ class TestPathway:
         with pytest.raises(ValidationError):
             PathwayDef(["g0"], [PathwayModule("M1", ["g0"])],
                        [PathwayMetabolite("A", [], [])])
+
+    @pytest.mark.parametrize("kind, doc", [
+        ("module", {"genes": ["g0", "g1", "g2"],
+                    "modules": [{"name": "M", "genes": ["g0"]},
+                                {"name": "M", "genes": ["g1", "g2"]}],
+                    "metabolites": [{"name": "A", "in_modules": ["M"],
+                                     "out_modules": ["M"]}]}),
+        ("metabolite", {"genes": ["g0", "g1"],
+                        "modules": [{"name": "M1", "genes": ["g0"]},
+                                    {"name": "M2", "genes": ["g1"]}],
+                        "metabolites": [{"name": "A", "in_modules": ["M1"],
+                                         "out_modules": []},
+                                        {"name": "A", "in_modules": [],
+                                         "out_modules": ["M2"]}]}),
+        ("gene", {"genes": ["g0", "g1", "g0"],
+                  "modules": [{"name": "M1", "genes": ["g0", "g1"]}],
+                  "metabolites": [{"name": "A", "in_modules": ["M1"],
+                                   "out_modules": []}]}),
+    ])
+    def test_duplicate_names_rejected(self, kind, doc):
+        # rows of the stoichiometric matrix and module columns are positional,
+        # so a repeated name would make a lookup by name ambiguous
+        dup = {"module": "M", "metabolite": "A", "gene": "g0"}[kind]
+        with pytest.raises(ValidationError, match=f"duplicate {kind} name '{dup}'"):
+            pathway_from_dict(doc)
 
     def test_json_roundtrip(self, tmp_path):
         pathway = pathway_from_dict({

@@ -1,18 +1,26 @@
+"""scfea-lite: the stoichiometric matrix, hop-2 weights, stacked module nets
+and the fused balance loss against a composed per-module reference."""
+
 import numpy as np
 import pytest
 
+from snodep import nn
+from snodep import tensor as T
 from snodep.data import TimeSeriesDataset, ValidationError, pathway_from_dict
-from snodep.nn import MLP
 from snodep.scfea import (
-    ModuleNet,
     ScfeaConfig,
     balance_loss,
+    balance_problem,
     compute_balance,
     estimate_flux_balance,
+    flux_matrix,
     hop2_neighbors,
+    hop2_weights,
     init_module_nets,
+    stoichiometric_matrix,
 )
-from snodep.tensor import Tensor
+from snodep.tensor import Adam, GradientTape, Tensor, backward
+from tests.conftest import finite_diff
 
 
 def chain_pathway():
@@ -61,6 +69,80 @@ class TestHop2:
                 assert set(hood.neighbors[a.name]) == expect
 
 
+def mixed_pathway():
+    """Modules of 1, 2 and 3 genes (so two are padded); M3 both feeds and
+    drains B; D is drained by two modules."""
+    return pathway_from_dict({
+        "genes": [f"g{i}" for i in range(6)],
+        "modules": [{"name": "M1", "genes": ["g0"]},
+                    {"name": "M2", "genes": ["g1", "g2"]},
+                    {"name": "M3", "genes": ["g3", "g4", "g5"]},
+                    {"name": "M4", "genes": ["g5", "g2"]}],
+        "metabolites": [{"name": "A", "in_modules": ["M1"], "out_modules": ["M2"]},
+                        {"name": "B", "in_modules": ["M2", "M3"],
+                         "out_modules": ["M3"]},
+                        {"name": "C", "in_modules": ["M3"], "out_modules": ["M4"]},
+                        {"name": "D", "in_modules": ["M4"],
+                         "out_modules": ["M1", "M2"]}],
+    })
+
+
+def gene_index(pathway):
+    return {g: i for i, g in enumerate(pathway.genes)}
+
+
+def problem_for(nets, expression, pathway, hood, lambda_nt=0.1):
+    return balance_problem(nets, expression, stoichiometric_matrix(pathway),
+                           hop2_weights(pathway, hood), lambda_nt)
+
+
+def composed_loss(nets, expression, pathway, hood, lambda_nt):
+    """The loss built the per-module way from tensor primitives: one MLP per
+    module on its own genes, imbalances summed over each metabolite's
+    producers and consumers, every neighbour's squared imbalance added to each
+    metabolite's term, and the anchor per module. Returns the loss and the
+    per-module parameter tensors [(w0, b0, w1, b1), ...]."""
+    expr_t = Tensor(expression.T)
+    fluxes, params = {}, []
+    for i, mod in enumerate(pathway.modules):
+        k = len(mod.genes)
+        ps = [Tensor(nets.w0.values[i, :k].copy(), True),
+              Tensor(nets.b0.values[i, 0].copy(), True),
+              Tensor(nets.w1.values[i].copy(), True),
+              Tensor(nets.b1.values[i, 0].copy(), True)]
+        params.append(ps)
+        x = expr_t[:, [pathway.genes.index(g) for g in mod.genes]]
+        fluxes[mod.name] = T.softplus(T.tanh(x @ ps[0] + ps[1]) @ ps[2] + ps[3])
+    sq = {}
+    for met in pathway.metabolites:
+        total = None
+        for name, sign in ([(m, 1.0) for m in met.in_modules]
+                           + [(m, -1.0) for m in met.out_modules]):
+            term = sign * fluxes[name]
+            total = term if total is None else total + term
+        sq[met.name] = T.tsum(T.square(total))
+    loss = None
+    for met in pathway.metabolites:
+        term = sq[met.name]
+        for other in hood.neighbors.get(met.name, ()):
+            term = term + hood.weights.get(other, 1.0) * sq[other]
+        loss = term if loss is None else loss + term
+    for mod in pathway.modules:
+        rows = [pathway.genes.index(g) for g in mod.genes]
+        activity = expression[rows].mean(axis=0)[:, None]
+        loss = loss + lambda_nt * T.tsum(T.square(fluxes[mod.name] - Tensor(activity)))
+    return loss, params
+
+
+def constant_nets(pathway, raw_outputs):
+    """Stacked nets with zero weights, so module i's flux is softplus(raw_i)."""
+    nets = init_module_nets(pathway, gene_index(pathway), 3, np.random.default_rng(0))
+    for t in (nets.w0, nets.b0, nets.w1):
+        t.values[...] = 0.0
+    nets.b1.values[:, 0, 0] = raw_outputs
+    return nets
+
+
 class TestBalance:
     def test_matches_stoichiometric_matrix(self):
         pathway = chain_pathway()
@@ -68,6 +150,7 @@ class TestBalance:
         flux = rng.random((3, 7))
         # stoichiometry S: +1 producer, -1 consumer
         s = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
+        np.testing.assert_array_equal(stoichiometric_matrix(pathway), s)
         np.testing.assert_allclose(compute_balance(flux, pathway), s @ flux,
                                    atol=1e-12)
 
@@ -77,16 +160,28 @@ class TestBalance:
         np.testing.assert_array_equal(compute_balance(flux, pathway),
                                       np.zeros((2, 4)))
 
+    def test_producer_and_consumer_cancel(self):
+        s = stoichiometric_matrix(mixed_pathway())
+        np.testing.assert_array_equal(s, [[1, -1, 0, 0], [0, 1, 0, 0],
+                                          [0, 0, 1, -1], [-1, -1, 0, 1]])
 
-def constant_nets(pathway, raw_outputs):
-    """Module nets with zero weights so flux = softplus(bias), a known constant."""
-    nets = []
-    for mod, raw in zip(pathway.modules, raw_outputs):
-        rows = [pathway.genes.index(g) for g in mod.genes]
-        w = Tensor(np.zeros((len(rows), 1)), requires_grad=True)
-        b = Tensor(np.array([raw]), requires_grad=True)
-        nets.append(ModuleNet(mod.name, rows, MLP([(w, b)])))
-    return nets
+
+class TestHop2Weights:
+    def test_chain(self):
+        pathway = chain_pathway()
+        np.testing.assert_array_equal(
+            hop2_weights(pathway, hop2_neighbors(pathway)), [2.0, 2.0])
+
+    def test_counts_every_neighbourhood_with_its_weight(self):
+        pathway = mixed_pathway()
+        hood = hop2_neighbors(pathway)
+        hood.weights.update({"A": 0.5, "C": 2.0})
+        listed = {m.name: 0 for m in pathway.metabolites}
+        for names in hood.neighbors.values():
+            for name in names:
+                listed[name] += 1
+        want = [1.0 + hood.weights.get(n, 1.0) * listed[n] for n in listed]
+        np.testing.assert_array_equal(hop2_weights(pathway, hood), want)
 
 
 class TestBalanceLoss:
@@ -97,7 +192,7 @@ class TestBalanceLoss:
         expression = rng.random((6, 5))
         raw = [0.3, -0.5, 1.1]
         nets = constant_nets(pathway, raw)
-        loss = balance_loss(nets, expression, pathway, hood, lambda_nt=0.1)
+        loss = balance_loss(nets, problem_for(nets, expression, pathway, hood, 0.1))
 
         flux = np.logaddexp(0.0, raw)  # softplus
         sq_a = 5 * (flux[0] - flux[1]) ** 2
@@ -116,34 +211,124 @@ class TestBalanceLoss:
         hood.weights["A"] = 0.0
         nets = constant_nets(pathway, [1.0, 0.0, 0.0])
         expression = np.ones((6, 2))
-        with_weight = balance_loss(nets, expression, pathway, hood, lambda_nt=0.0)
+        with_weight = balance_loss(nets, problem_for(nets, expression, pathway,
+                                                     hood, lambda_nt=0.0))
         hood.weights["A"] = 1.0
-        full = balance_loss(nets, expression, pathway, hood, lambda_nt=0.0)
+        full = balance_loss(nets, problem_for(nets, expression, pathway, hood,
+                                              lambda_nt=0.0))
         assert with_weight.values.item() < full.values.item()
 
     def test_expression_row_check(self):
         pathway = chain_pathway()
         nets = constant_nets(pathway, [0.0, 0.0, 0.0])
         with pytest.raises(ValidationError):
-            balance_loss(nets, np.ones((4, 2)), pathway, hop2_neighbors(pathway))
+            problem_for(nets, np.ones((4, 2)), pathway, hop2_neighbors(pathway))
+        with pytest.raises(ValidationError):
+            flux_matrix(nets, np.ones((4, 2)))
+
+
+class TestFusedBalanceLoss:
+    """The fused node against the composed per-module loss and against
+    central differences, on a pathway that needs padding."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(21)
+        self.pathway = mixed_pathway()
+        self.hood = hop2_neighbors(self.pathway)
+        self.hood.weights.update({"A": 0.5, "C": 2.0})
+        self.nets = init_module_nets(self.pathway, gene_index(self.pathway), 5, rng)
+        self.expression = rng.poisson(2.0, size=(6, 9)).astype(float)
+        self.problem = problem_for(self.nets, self.expression, self.pathway,
+                                   self.hood, lambda_nt=0.3)
+
+    def params(self):
+        return [self.nets.w0, self.nets.b0, self.nets.w1, self.nets.b1]
+
+    def fused_grads(self):
+        for p in self.params():
+            p.grad = None
+        backward(balance_loss(self.nets, self.problem))
+        return [p.grad.copy() for p in self.params()]
+
+    def test_one_tape_node(self):
+        loss = balance_loss(self.nets, self.problem)
+        ops = [n.op for n in GradientTape.from_output(loss).operations if n.op != "leaf"]
+        assert ops == ["scfea_balance_loss"]
+
+    def test_forward_matches_composed(self):
+        fused = balance_loss(self.nets, self.problem).values.item()
+        composed, _ = composed_loss(self.nets, self.expression, self.pathway,
+                                    self.hood, 0.3)
+        assert fused == pytest.approx(composed.values.item(), rel=1e-12)
+
+    def test_gradients_match_composed(self):
+        got = self.fused_grads()
+        loss, per_module = composed_loss(self.nets, self.expression, self.pathway,
+                                         self.hood, 0.3)
+        backward(loss)
+        for i, (mod, ps) in enumerate(zip(self.pathway.modules, per_module)):
+            k = len(mod.genes)
+            for g, p, sl in zip(got, ps, [(i, slice(0, k)), (i, 0), (i,), (i, 0)]):
+                np.testing.assert_allclose(g[sl], p.grad, rtol=1e-12, atol=1e-12)
+
+    def test_gradients_match_central_differences(self):
+        for p, g in zip(self.params(), self.fused_grads()):
+            def value(v, p=p):
+                saved = p.values.copy()
+                p.values[...] = v
+                try:
+                    return balance_loss(self.nets, self.problem).values.item()
+                finally:
+                    p.values[...] = saved
+            fd = finite_diff(value, p.values.copy())
+            np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-8)
+
+    def test_padding_is_zero_and_stays_zero(self):
+        pad = ~self.nets.mask
+        assert pad.sum() == 4      # M1 pads two rows, M2 and M4 one each
+        w0 = self.nets.w0
+        assert np.all(w0.values[pad] == 0.0)
+        opt = Adam(self.nets.tensors(), lr=0.05)
+        for _ in range(25):
+            opt.zero_grad()
+            backward(balance_loss(self.nets, self.problem))
+            assert np.all(w0.grad[pad] == 0.0)
+            opt.step()
+        assert np.all(w0.values[pad] == 0.0)
+        assert np.all(w0.values[~pad] != 0.0)
+
+    def test_untracked_weights_give_untracked_loss(self):
+        for p in self.params():
+            p.requires_grad = False
+        assert not balance_loss(self.nets, self.problem).requires_grad
 
 
 class TestModuleNets:
     def test_flux_strictly_positive(self):
         pathway = chain_pathway()
         rng = np.random.default_rng(3)
-        nets = init_module_nets(pathway, {g: i for i, g in enumerate(pathway.genes)},
-                                4, rng)
-        expr = Tensor(rng.normal(size=(10, 6)))
-        for net in nets:
-            assert np.all(net.flux(expr).values > 0)
+        nets = init_module_nets(pathway, gene_index(pathway), 4, rng)
+        flux = flux_matrix(nets, rng.normal(size=(6, 10)))
+        assert flux.shape == (3, 10)
+        assert np.all(flux > 0)
+
+    def test_draws_match_per_module_mlps(self):
+        pathway = mixed_pathway()
+        nets = init_module_nets(pathway, gene_index(pathway), 5,
+                                np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        for i, mod in enumerate(pathway.modules):
+            (w0, b0), (w1, b1) = nn.init_mlp(rng, [len(mod.genes), 5, 1]).layers
+            np.testing.assert_array_equal(nets.w0.values[i, :len(mod.genes)], w0.values)
+            np.testing.assert_array_equal(nets.b0.values[i, 0], b0.values)
+            np.testing.assert_array_equal(nets.w1.values[i], w1.values)
+            np.testing.assert_array_equal(nets.b1.values[i, 0], b1.values)
 
     def test_empty_module_rejected(self):
         pathway = chain_pathway()
         pathway.modules[0].genes = []
         with pytest.raises(ValidationError):
-            init_module_nets(pathway, {g: i for i, g in enumerate(pathway.genes)},
-                             4, np.random.default_rng(0))
+            init_module_nets(pathway, gene_index(pathway), 4, np.random.default_rng(0))
 
 
 class TestEstimateFluxBalance:
@@ -174,10 +359,9 @@ class TestEstimateFluxBalance:
         hood = hop2_neighbors(pathway)
         cfg = ScfeaConfig(steps=400, seed=0)
         rng = np.random.default_rng(np.random.SeedSequence(0).spawn(1)[0])
-        nets0 = init_module_nets(pathway, {g: i for i, g in enumerate(pathway.genes)},
-                                 cfg.hidden, rng)
-        initial = balance_loss(nets0, ds.samples[0], pathway, hood,
-                               cfg.lambda_nt).values.item()
+        nets0 = init_module_nets(pathway, gene_index(pathway), cfg.hidden, rng)
+        initial = balance_loss(nets0, problem_for(nets0, ds.samples[0], pathway, hood,
+                                                  cfg.lambda_nt)).values.item()
         flux, bal = estimate_flux_balance(ds, pathway, cfg)
         # imbalance after training is a loose but telling proxy for the loss
         final_imbalance = np.abs(bal.samples[0]).max()
