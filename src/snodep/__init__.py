@@ -42,7 +42,6 @@ from .distributions import (
     LogNormalD,
     PoissonD,
     kl_divergence,
-    log_prob,
     positive_rate,
     positive_sigma,
     reparam_sample,
@@ -90,7 +89,7 @@ __all__ = [
     "generate_synthetic", "gradients", "integrate", "integrate_path",
     "kl_divergence", "knockout_generate", "load_checkpoint", "load_config",
     "load_expression_csv", "load_pathway_json", "load_timeseries_csv",
-    "log_normalize_scale", "log_prob", "merge_configurations",
+    "log_normalize_scale", "merge_configurations",
     "pathway_from_dict", "positive_rate", "positive_sigma", "reparam_sample",
     "resolve_heads", "restore_checkpoint", "sample_batch", "save_checkpoint",
     "save_pathway_json", "save_timeseries_csv", "test_mse",

@@ -10,6 +10,7 @@ import copy
 import json
 
 from .data import ValidationError
+from .models import ENCODER_FOR_KIND
 
 DEFAULTS = {
     "model": {
@@ -59,9 +60,6 @@ DEFAULTS = {
     },
 }
 
-_ENCODER_FOR_KIND = {"np": "mean", "nodep": "mean", "snodep": "lstm",
-                     "snodep_gruode": "gruode"}
-
 
 def _merge(defaults, overrides, path=""):
     out = copy.deepcopy(defaults)
@@ -93,13 +91,13 @@ def load_config(path=None, overrides=None):
 
 def _validate(cfg):
     kind = cfg["model"]["kind"]
-    if kind not in _ENCODER_FOR_KIND:
-        raise ValidationError(f"model.kind must be one of {sorted(_ENCODER_FOR_KIND)}")
+    if kind not in ENCODER_FOR_KIND:
+        raise ValidationError(f"model.kind must be one of {sorted(ENCODER_FOR_KIND)}")
     encoder = cfg["model"]["encoder"]
-    if encoder is not None and encoder != _ENCODER_FOR_KIND[kind]:
+    if encoder is not None and encoder != ENCODER_FOR_KIND[kind]:
         raise ValidationError(
             f"model.encoder={encoder!r} conflicts with model.kind={kind!r} "
-            f"(expects {_ENCODER_FOR_KIND[kind]!r})")
+            f"(expects {ENCODER_FOR_KIND[kind]!r})")
     if cfg["data"]["kind"] not in ("expression", "flux", "balance"):
         raise ValidationError("data.kind must be expression, flux, or balance")
     if not 0.0 < cfg["train"]["frequency"] <= 1.0:

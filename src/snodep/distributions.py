@@ -111,10 +111,6 @@ def reparam_sample(dist, noise):
     return dist.sample(noise)
 
 
-def log_prob(dist, x):
-    return dist.log_prob(x)
-
-
 def kl_divergence(p, q):
     """KL(p || q), summed over dimensions; same family required.
 

@@ -1,8 +1,19 @@
-"""Fixed-step explicit ODE integration on the gradient tape.
+"""Fixed-step explicit ODE integration as one tape node per path.
 
 A vector field is any callable ``f(t, state, ctx) -> Tensor`` returning a
-derivative with the same shape as ``state``. Integration composes ordinary
-tensor primitives, so gradients flow through trajectories without an adjoint.
+derivative with the same shape as ``state``. The solver steps euler or rk4 in
+plain numpy and records the whole path as a single tape node. Its backward
+pass is discretise-then-optimise: one reverse sweep over the stage
+coefficients gives the exact gradient of the discrete solution, not the
+continuous adjoint.
+
+Each stage calls the field on a fresh tracked leaf holding the stage state.
+The stage's vector-Jacobian product is read from the nodes the field built,
+walking back from its output to that leaf and stopping at leaves and at
+``ctx``; for a fused MLP field this is the MLP node's own backward pass.
+Tracked non-leaf inputs must reach a field through ``ctx``: anything else the
+field closes over is a node the walk passes through, so its backward pass
+reruns at every stage.
 """
 
 from __future__ import annotations
@@ -11,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor as T
 from .tensor import NumericsError, ShapeError, Tensor
 
 
@@ -26,46 +38,161 @@ class SolverConfig:
             raise ValueError("steps_per_unit must be >= 1")
 
 
-def _eval_field(f, t, y, ctx):
-    dy = f(t, y, ctx)
-    if dy.shape != y.shape:
-        raise ShapeError(f"vector field returned shape {dy.shape}, state has {y.shape}")
-    return dy
+class _Stage:
+    """One field evaluation: its state leaf, its output, and the nodes between
+    them in reverse topological order."""
+
+    __slots__ = ("leaf", "out", "order")
+
+    def __init__(self, f, t, y, ctx, stop, externals):
+        self.leaf = Tensor(y, requires_grad=True)
+        self.out = T._coerce(f(t, self.leaf, ctx))
+        if self.out.shape != y.shape:
+            raise ShapeError(
+                f"vector field returned shape {self.out.shape}, state has {y.shape}")
+        self.order = _interior(self.out, self.leaf, stop, externals)
+
+    def vjp(self, g, ext_grads):
+        """Add the field's gradient for output cotangent ``g`` into
+        ``ext_grads``; return the cotangent of the stage state (0.0 if none)."""
+        out = self.out
+        if not out.requires_grad:
+            return 0.0
+        grads = {id(out): g}
+        for node in self.order:
+            gn = grads.pop(id(node), None)
+            if gn is None:
+                continue
+            for p, pg in zip(node._parents, node._backward(gn)):
+                if pg is None or not p.requires_grad:
+                    continue
+                k = id(p)
+                grads[k] = grads[k] + pg if k in grads else pg
+        g_state = grads.pop(id(self.leaf), 0.0)
+        for k, pg in grads.items():
+            ext_grads[k] += pg
+        return g_state
+
+
+def _interior(out, leaf, stop, externals):
+    """The tracked nodes from ``out`` down to its boundary, in reverse
+    topological order (``out`` first, unless it is on the boundary).
+
+    The boundary is the stage ``leaf``, every tracked leaf and the node whose
+    id is ``stop``; boundary nodes other than ``leaf`` are added to
+    ``externals`` (id -> tensor).
+    """
+    order, seen, stack = [], set(), [(out, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        k = id(node)
+        if k in seen or not node.requires_grad:
+            continue
+        seen.add(k)
+        if node is leaf:
+            continue
+        if node._backward is None or k == stop:
+            externals.setdefault(k, node)
+            continue
+        stack.append((node, True))
+        stack.extend((p, False) for p in reversed(node._parents))
+    order.reverse()
+    return order
+
+
+def _solve(f, y0, times, ctx, cfg):
+    """One node holding the states at ``times[1:]``, stacked along a new first
+    axis (just the state when there is one).
+
+    ``times`` is monotone, ascending or descending; ``times[0]`` is the time
+    of ``y0``. The node's parents are ``y0`` and the tracked leaves and
+    ``ctx`` that the field's stages reach.
+    """
+    rk4 = cfg.method == "rk4"
+    stop = id(ctx) if isinstance(ctx, Tensor) else None
+    externals = {}
+    steps = []        # (h, stages) per step, in order
+    ends = {}         # number of steps taken -> index of the path time reached
+    path = []
+    y = y0.values
+
+    def stage(t, state):
+        return _Stage(f, t, state, ctx, stop, externals)
+
+    for a, b in zip(times, times[1:]):
+        n = max(1, int(round(abs(b - a) * cfg.steps_per_unit)))
+        h = (b - a) / n
+        for i in range(n):
+            t = a + i * h
+            if rk4:
+                s1 = stage(t, y)
+                s2 = stage(t + 0.5 * h, y + (0.5 * h) * s1.out.values)
+                s3 = stage(t + 0.5 * h, y + (0.5 * h) * s2.out.values)
+                s4 = stage(t + h, y + h * s3.out.values)
+                y = y + (h / 6.0) * (s1.out.values + 2.0 * s2.out.values
+                                     + 2.0 * s3.out.values + s4.out.values)
+                steps.append((h, (s1, s2, s3, s4)))
+            else:
+                s1 = stage(t, y)
+                y = y + h * s1.out.values
+                steps.append((h, (s1,)))
+            if not np.all(np.isfinite(y)):
+                raise NumericsError(f"non-finite state at step {i} of the interval "
+                                    f"[{a:g}, {b:g}] (t={t + h:g})")
+        ends[len(steps)] = len(path)
+        path.append(y)
+
+    ext = list(externals.values())
+    shape = y0.shape
+
+    def bwd(g):
+        g = g.reshape((len(path),) + shape)
+        ext_grads = {k: np.zeros_like(p.values) for k, p in externals.items()}
+        gy = np.zeros(shape)
+        for j in range(len(steps) - 1, -1, -1):
+            if j + 1 in ends:
+                gy = gy + g[ends[j + 1]]
+            h, stages = steps[j]
+            if rk4:
+                s1, s2, s3, s4 = stages
+                c = h / 6.0
+                g4 = s4.vjp(c * gy, ext_grads)
+                g3 = s3.vjp(2.0 * c * gy + h * g4, ext_grads)
+                g2 = s2.vjp(2.0 * c * gy + (0.5 * h) * g3, ext_grads)
+                g1 = s1.vjp(c * gy + (0.5 * h) * g2, ext_grads)
+                gy = gy + g1 + g2 + g3 + g4
+            else:
+                gy = gy + stages[0].vjp(h * gy, ext_grads)
+        return [gy] + [ext_grads[k] for k in externals]
+
+    out = path[0] if len(path) == 1 else np.stack(path)
+    return T.fused("ode_path", out, [y0] + ext, bwd)
 
 
 def integrate(f, y0, t0, t1, ctx, cfg):
     """Advance ``y0`` from ``t0`` to ``t1`` (either direction) and return y(t1)."""
     if t0 == t1:
         return y0
-    n = max(1, int(round(abs(t1 - t0) * cfg.steps_per_unit)))
-    h = (t1 - t0) / n
-    y = y0
-    for i in range(n):
-        t = t0 + i * h
-        if cfg.method == "euler":
-            y = y + h * _eval_field(f, t, y, ctx)
-        else:
-            k1 = _eval_field(f, t, y, ctx)
-            k2 = _eval_field(f, t + 0.5 * h, y + (0.5 * h) * k1, ctx)
-            k3 = _eval_field(f, t + 0.5 * h, y + (0.5 * h) * k2, ctx)
-            k4 = _eval_field(f, t + h, y + h * k3, ctx)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y.values)):
-            raise NumericsError(f"non-finite state at integration step {i} (t={t + h:g})")
-    return y
+    return _solve(f, y0, [t0, t1], ctx, cfg)
 
 
 def integrate_path(f, y0, times, ctx, cfg):
-    """States at each of ``times``; ``times[0]`` is the initial time of ``y0``."""
+    """States at each of ``times``; ``times[0]`` is the initial time of ``y0``.
+
+    The states after ``y0`` are row slices of one solver node.
+    """
     times = list(times)
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError(f"integrate_path: times must be strictly ascending, got {times}")
-    states = [y0]
-    y = y0
-    for a, b in zip(times, times[1:]):
-        y = integrate(f, y, a, b, ctx, cfg)
-        states.append(y)
-    return states
+    if len(times) < 2:
+        return [y0]
+    path = _solve(f, y0, times, ctx, cfg)
+    if len(times) == 2:
+        return [y0, path]
+    return [y0] + [path[i] for i in range(len(times) - 1)]
 
 
 def linear_field(matrix):

@@ -7,7 +7,7 @@ import pytest
 from snodep import nn
 from snodep import tensor as T
 from snodep.tensor import GradientTape, ShapeError, Tensor, backward
-from tests.conftest import finite_diff
+from tests.conftest import check_op, tracked
 
 
 # ---- composed-primitive references ----
@@ -43,51 +43,6 @@ def composed_gru(p, x, h):
     r = T.sigmoid(xh @ p.wr + p.br)
     h_tilde = T.tanh(T.concat([x, r * h], axis=1) @ p.wh + p.bh)
     return (1.0 - z) * h + z * h_tilde
-
-
-# ---- helpers ----
-
-def tracked(rng, *shape):
-    return Tensor(rng.normal(size=shape), requires_grad=True)
-
-
-def projected(outs, weights):
-    """Scalar loss sum_k <out_k, weight_k>, so every output entry matters."""
-    loss = None
-    for out, w in zip(outs, weights):
-        term = T.tsum(out * Tensor(w))
-        loss = term if loss is None else loss + term
-    return loss
-
-
-def analytic_grads(build, tensors, weights):
-    for t in tensors:
-        t.grad = None
-    backward(projected(build(), weights))
-    return [t.grad.copy() for t in tensors]
-
-
-def check_op(fused, composed, tensors, seed=0):
-    """Fused forward equals the composed one to 1e-12; fused gradients match
-    central differences and the composed gradients for every tensor."""
-    outs_f, outs_c = fused(), composed()
-    rng = np.random.default_rng(seed)
-    weights = [rng.normal(size=o.shape) for o in outs_f]
-    for a, b in zip(outs_f, outs_c):
-        np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-12)
-    got = analytic_grads(fused, tensors, weights)
-    ref = analytic_grads(composed, tensors, weights)
-    for t, g, r in zip(tensors, got, ref):
-        def value(v, t=t):
-            saved = t.values.copy()
-            t.values[...] = v
-            try:
-                return sum(float((o.values * w).sum()) for o, w in zip(fused(), weights))
-            finally:
-                t.values[...] = saved
-        fd = finite_diff(value, t.values.copy())
-        np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-8)
-        np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12)
 
 
 def tape_ops(out):
