@@ -44,10 +44,8 @@ from .distributions import (
     kl_divergence,
     positive_rate,
     positive_sigma,
-    reparam_sample,
 )
-from .encoders import ContextSet
-from .models import ENCODER_FOR_KIND, KINDS, LatentDraw, ModelConfig, ProcessModel
+from .models import ENCODER_FOR_KIND, KINDS, ModelConfig, ProcessModel
 from .ode import SolverConfig, integrate, integrate_path
 from .scfea import ScfeaConfig, compute_balance, estimate_flux_balance
 from .tensor import (
@@ -78,9 +76,9 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam", "ContextSet", "DEFAULTS", "DiagNormal", "DomainError",
+    "Adam", "DEFAULTS", "DiagNormal", "DomainError",
     "ENCODER_FOR_KIND", "GradientTape", "KINDS", "KnockoutConfiguration",
-    "KnockoutDataset", "LAMBDA_MIN", "LatentDraw", "LogNormalD", "MetricReport",
+    "KnockoutDataset", "LAMBDA_MIN", "LogNormalD", "MetricReport",
     "ModelConfig", "NumericsError", "PathwayDef", "PathwayMetabolite",
     "PathwayModule", "PoissonD", "ProcessModel", "SIGMA_MIN", "ScfeaConfig",
     "ShapeError", "SolverConfig", "Tensor", "TimeSeriesDataset", "TrainConfig",
@@ -90,7 +88,7 @@ __all__ = [
     "kl_divergence", "knockout_generate", "load_checkpoint", "load_config",
     "load_expression_csv", "load_pathway_json", "load_timeseries_csv",
     "log_normalize_scale", "merge_configurations",
-    "pathway_from_dict", "positive_rate", "positive_sigma", "reparam_sample",
+    "pathway_from_dict", "positive_rate", "positive_sigma",
     "resolve_heads", "restore_checkpoint", "sample_batch", "save_checkpoint",
     "save_pathway_json", "save_timeseries_csv", "test_mse",
     "top_expressed_genes", "train",

@@ -12,7 +12,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -221,13 +220,7 @@ def cmd_compare(args):
     base_seed = args.seed if args.seed is not None else cfg["train"]["seed"]
     seeds = [base_seed + i for i in range(args.seeds)]
     cells = [(kind, seed) for kind in kinds for seed in seeds]
-    workers = max(1, int(os.environ.get("SNODEP_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda ks: _compare_cell(cfg, ds, ks[0], ks[1]), cells))
-    else:
-        results = [_compare_cell(cfg, ds, k, s) for k, s in cells]
+    results = [_compare_cell(cfg, ds, k, s) for k, s in cells]
     mse = {}
     rows = []
     for (kind, seed), value in zip(cells, results):
@@ -282,7 +275,6 @@ def build_parser():
     p.add_argument("--timesteps", type=int, default=16)
     p.add_argument("--features", type=int, default=5)
     p.set_defaults(func=cmd_generate, seed=0)
-    p.add_argument("--gen-seed", dest="seed", type=int, default=0)
 
     p = sub.add_parser("preprocess", parents=[common],
                        help="log-normalize and scale expression counts")

@@ -105,12 +105,6 @@ class PoissonD:
         return T.tsum(per_dim, axis=-1)
 
 
-def reparam_sample(dist, noise):
-    if not isinstance(dist, (DiagNormal, LogNormalD)):
-        raise TypeError(f"reparam_sample: unsupported distribution {type(dist).__name__}")
-    return dist.sample(noise)
-
-
 def kl_divergence(p, q):
     """KL(p || q), summed over dimensions; same family required.
 

@@ -1,11 +1,11 @@
 """Context encoders: order-invariant mean aggregation, backward LSTM, and
 backward GRU-ODE, plus the feed-forward heads that parameterize the latents.
 
-Batched variants operate on shared timesteps with a per-element presence mask
-and are what training uses; the ``ContextSet`` forms wrap a single sequence.
-The GRU-ODE consumes each present observation at its own time and evolves the
-hidden state by integrating the field between consecutive present times,
-skipping masked points entirely.
+Every encoder is batched: it takes shared timesteps, ``(B, C, d_y)`` values
+and a ``(B, C)`` presence mask, and returns a ``(B, d_r)`` representation; a
+single sequence is a batch of one. The GRU-ODE consumes each present
+observation at its own time and evolves the hidden state by integrating the
+field between consecutive timesteps, skipping masked points entirely.
 """
 
 from __future__ import annotations
@@ -21,30 +21,6 @@ from .ode import integrate
 from .tensor import DomainError, Tensor
 
 
-@dataclass
-class ContextSet:
-    times: np.ndarray          # (C,)
-    values: np.ndarray         # (C, d_y)
-    present: np.ndarray = None  # (C,) bool; default all present
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=np.float64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.present is None:
-            self.present = np.ones(len(self.times), dtype=bool)
-        self.present = np.asarray(self.present, dtype=bool)
-        if self.values.ndim != 2 or self.values.shape[0] != self.times.shape[0]:
-            raise ValueError(
-                f"context values shape {self.values.shape} does not match "
-                f"{self.times.shape[0]} timesteps"
-            )
-        if self.present.sum() < 1:
-            raise ValueError("context needs at least one present point")
-        pt = self.times[self.present]
-        if np.any(np.diff(pt) <= 0):
-            raise ValueError("context times must be strictly ascending among present points")
-
-
 def np_encode_batch(times, values, mask, params):
     """Masked mean of MLP([t_i, y_i]) over present points. values: (B, C, d_y).
 
@@ -54,17 +30,12 @@ def np_encode_batch(times, values, mask, params):
     b, c, d_y = values.shape
     counts = mask.sum(axis=1, keepdims=True).astype(np.float64)
     if np.any(counts == 0):
-        raise DomainError("np_encode: an element has no present context points")
+        raise DomainError("np_encode_batch: an element has no present context points")
     t_col = np.broadcast_to(np.asarray(times, dtype=np.float64)[None, :, None], (b, c, 1))
     x = np.concatenate([t_col, values], axis=2).reshape(b * c, 1 + d_y)
     h = T.reshape(params(x), (b, c, -1))
     m = Tensor(mask[:, :, None].astype(np.float64))
     return T.tsum(m * h, axis=1) / Tensor(counts)
-
-
-def np_encode(ctx, params):
-    r = np_encode_batch(ctx.times, ctx.values[None], ctx.present[None], params)
-    return r[0, :]
 
 
 def lstm_encode_backward_batch(times, values, mask, params):
@@ -77,29 +48,6 @@ def lstm_encode_backward_batch(times, values, mask, params):
     for i in range(c - 1, -1, -1):
         h, cell = nn.lstm_cell(params, Tensor(values[:, i, :]), h, cell)
     return h
-
-
-def lstm_encode_backward(ctx, params):
-    r = lstm_encode_backward_batch(ctx.times, ctx.values[None], ctx.present[None], params)
-    return r[0, :]
-
-
-def gru_ode_encode(ctx, g_field, params, cfg):
-    """Backward GRU-ODE over the present points of one sequence."""
-    idx = np.flatnonzero(ctx.present)
-    if idx.size < 2:
-        raise ValueError("gru_ode_encode needs at least 2 present points")
-    d_h = params.bz.shape[0]
-    h = Tensor(np.zeros((1, d_h)))
-    desc = idx[::-1]
-    prev_t = None
-    for i in desc:
-        t_i = float(ctx.times[i])
-        if prev_t is not None:
-            h = integrate(g_field, h, prev_t, t_i, None, cfg)
-        h = nn.gru_cell(params, Tensor(ctx.values[i][None, :]), h)
-        prev_t = t_i
-    return h[0, :]
 
 
 def gru_ode_encode_batch(times, values, mask, g_field, params, cfg):
@@ -151,8 +99,6 @@ def latent_params(r, heads, family):
     """Latent distributions from a representation; family 'normal' or 'lognormal'."""
     if family not in ("normal", "lognormal"):
         raise ValueError(f"unknown latent family {family!r}")
-    if r.values.ndim == 1:
-        r = T.reshape(r, (1, r.values.shape[0]))
     out = r @ heads.w + heads.b
     dz, dd = heads.d_z, heads.d_d
     mu_l0 = out[:, :dz]

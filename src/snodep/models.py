@@ -15,8 +15,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import encoders, nn
+from . import tensor as T
 from .distributions import DiagNormal, PoissonD, positive_rate, positive_sigma
-from .encoders import ContextSet
 from .ode import SolverConfig, integrate_path
 from .tensor import Tensor
 
@@ -45,14 +45,6 @@ class ModelConfig:
             raise ValueError(f"unknown head {self.head!r}")
         if self.latent_family not in ("normal", "lognormal"):
             raise ValueError(f"unknown latent family {self.latent_family!r}")
-
-
-@dataclass
-class LatentDraw:
-    l0: Tensor
-    d: Tensor
-    l0_dist: object = None
-    d_dist: object = None
 
 
 class ProcessModel:
@@ -99,11 +91,24 @@ class ProcessModel:
 
     # ---- encoding ----
     def encode_batch(self, times, values, mask):
-        """values: (B, C, d_y) array, mask: (B, C) bool -> (L0 dist, D dist)."""
+        """values: (B, C, d_y) array, mask: (B, C) bool -> (L0 dist, D dist).
+
+        ``times`` (C,) is strictly ascending; a single sequence is a batch of one.
+        """
+        times = np.asarray(times, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
         mask = np.asarray(mask, dtype=bool)
+        c = times.shape[0]
+        if values.ndim != 3 or values.shape[1] != c:
+            raise ValueError(
+                f"context values shape {values.shape} does not match {c} timesteps")
+        if mask.shape != values.shape[:2]:
+            raise ValueError(
+                f"context mask shape {mask.shape} does not match values {values.shape}")
+        if np.any(np.diff(times) <= 0):
+            raise ValueError("context times must be strictly ascending")
         if self.cfg.encode_time and self.encoder_kind != "mean":
-            t_feat = np.broadcast_to(np.asarray(times)[None, :, None],
+            t_feat = np.broadcast_to(times[None, :, None],
                                      values.shape[:2] + (1,))
             values = np.concatenate([values, t_feat], axis=2)
         if self.encoder_kind == "mean":
@@ -115,9 +120,6 @@ class ProcessModel:
                 times, values, mask, self._g_field, self.gru, self.cfg.solver)
         return encoders.latent_params(r, self.heads, self.cfg.latent_family)
 
-    def encode(self, ctx: ContextSet):
-        return self.encode_batch(ctx.times, ctx.values[None], ctx.present[None])
-
     def _g_field(self, t, h, ctx):
         return self.g_mlp(h)
 
@@ -125,38 +127,39 @@ class ProcessModel:
     def _field(self, t, l, shift):
         return self.trunk(l, shift, t)
 
-    def _head_dist(self, latent):
+    def _head_dist(self, latent, n_t):
+        """The output distribution for ``(T·B, d_z)`` time-major latents, with
+        ``(T, B, d_y)`` parameters, from one output-head call."""
         out = self.out_head(latent)
+        out = T.reshape(out, (n_t, -1, out.shape[1]))
         if self.cfg.head == "poisson":
             return PoissonD(positive_rate(out))
         d_y = self.cfg.d_y
-        return DiagNormal(out[:, :d_y], positive_sigma(out[:, d_y:]))
+        return DiagNormal(out[..., :d_y], positive_sigma(out[..., d_y:]))
 
     def decode_batch(self, l0, d, t0, query_times):
-        """Per-time output distributions at ``query_times`` (ascending, >= t0)."""
+        """The output distribution at ``query_times`` (ascending, >= t0): one
+        distribution whose parameters are ``(T, B, d_y)``."""
         query_times = [float(t) for t in query_times]
+        if not query_times:
+            raise ValueError("decode_batch needs at least one query time")
         if any(b <= a for a, b in zip(query_times, query_times[1:])):
             raise ValueError(f"query times must be strictly ascending: {query_times}")
-        if query_times and query_times[0] < t0:
+        if query_times[0] < t0:
             raise ValueError(
                 f"query time {query_times[0]} precedes the process origin {t0}")
-        if not query_times:
-            return []
         # the trunk's input is [l, d, t]; d is fixed, so project it once
         shift = self.trunk.first_layer_shift(d, self.cfg.d_z)
         if self.cfg.kind == "np":
-            return [self._head_dist(self._field(t, l0, shift)) for t in query_times]
+            # t is a scalar inside the fused trunk, so it runs once per time
+            states = T.concat([self._field(t, l0, shift) for t in query_times], axis=0)
+            return self._head_dist(states, len(query_times))
         prepend = query_times[0] != t0
         path_times = [t0] + query_times if prepend else query_times
         states = integrate_path(self._field, l0, path_times, shift, self.cfg.solver)
         if prepend:
             states = states[1:]
-        return [self._head_dist(s) for s in states]
-
-    def decode(self, draw: LatentDraw, query_times, t0=None):
-        if t0 is None:
-            t0 = float(query_times[0])
-        return self.decode_batch(draw.l0, draw.d, t0, query_times)
+        return self._head_dist(T.reshape(states, (-1, self.cfg.d_z)), len(query_times))
 
     # ---- inference ----
     def predict_batch(self, times, values, mask, query_times):
@@ -167,9 +170,5 @@ class ProcessModel:
         zero_d = Tensor(np.zeros(d_dist.mu.shape))
         l0 = l0_dist.sample(zero_l0)
         d = d_dist.sample(zero_d)
-        t0 = float(np.asarray(times)[0])
+        t0 = float(times[0])
         return self.decode_batch(l0, d, t0, query_times)
-
-    def predict(self, ctx: ContextSet, query_times):
-        return self.predict_batch(ctx.times, ctx.values[None], ctx.present[None],
-                                  query_times)

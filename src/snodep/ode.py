@@ -103,9 +103,9 @@ def _interior(out, leaf, stop, externals):
     return order
 
 
-def _solve(f, y0, times, ctx, cfg):
-    """One node holding the states at ``times[1:]``, stacked along a new first
-    axis (just the state when there is one).
+def _solve(f, y0, times, ctx, cfg, stacked):
+    """One node holding the states at ``times`` stacked along a new first axis,
+    ``y0`` as row 0, or with ``stacked`` false just the state at ``times[-1]``.
 
     ``times`` is monotone, ascending or descending; ``times[0]`` is the time
     of ``y0``. The node's parents are ``y0`` and the tracked leaves and
@@ -116,8 +116,8 @@ def _solve(f, y0, times, ctx, cfg):
     externals = {}
     steps = []        # (h, stages) per step, in order
     ends = {}         # number of steps taken -> index of the path time reached
-    path = []
     y = y0.values
+    path = [y]
 
     def stage(t, state):
         return _Stage(f, t, state, ctx, stop, externals)
@@ -149,7 +149,8 @@ def _solve(f, y0, times, ctx, cfg):
     shape = y0.shape
 
     def bwd(g):
-        g = g.reshape((len(path),) + shape)
+        if not stacked:
+            g = np.stack([np.zeros(shape), g])
         ext_grads = {k: np.zeros_like(p.values) for k, p in externals.items()}
         gy = np.zeros(shape)
         for j in range(len(steps) - 1, -1, -1):
@@ -166,9 +167,9 @@ def _solve(f, y0, times, ctx, cfg):
                 gy = gy + g1 + g2 + g3 + g4
             else:
                 gy = gy + stages[0].vjp(h * gy, ext_grads)
-        return [gy] + [ext_grads[k] for k in externals]
+        return [gy + g[0]] + [ext_grads[k] for k in externals]
 
-    out = path[0] if len(path) == 1 else np.stack(path)
+    out = np.stack(path) if stacked else y
     return T.fused("ode_path", out, [y0] + ext, bwd)
 
 
@@ -176,23 +177,18 @@ def integrate(f, y0, t0, t1, ctx, cfg):
     """Advance ``y0`` from ``t0`` to ``t1`` (either direction) and return y(t1)."""
     if t0 == t1:
         return y0
-    return _solve(f, y0, [t0, t1], ctx, cfg)
+    return _solve(f, y0, [t0, t1], ctx, cfg, stacked=False)
 
 
 def integrate_path(f, y0, times, ctx, cfg):
-    """States at each of ``times``; ``times[0]`` is the initial time of ``y0``.
-
-    The states after ``y0`` are row slices of one solver node.
-    """
+    """The states at each of ``times`` as one ``(len(times), *y0.shape)``
+    tensor; ``times[0]`` is the initial time of ``y0``, which is row 0."""
     times = list(times)
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError(f"integrate_path: times must be strictly ascending, got {times}")
-    if len(times) < 2:
-        return [y0]
-    path = _solve(f, y0, times, ctx, cfg)
-    if len(times) == 2:
-        return [y0, path]
-    return [y0] + [path[i] for i in range(len(times) - 1)]
+    if not times:
+        raise ValueError("integrate_path: needs at least the initial time")
+    return _solve(f, y0, times, ctx, cfg, stacked=True)
 
 
 def linear_field(matrix):

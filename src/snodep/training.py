@@ -103,12 +103,10 @@ def elbo_loss(model: ProcessModel, batch: TrajectoryBatch, noise, kl_weight=1.0)
     noise_l0, noise_d = noise
     l0 = l0_tgt.sample(Tensor(noise_l0))
     d = d_tgt.sample(Tensor(noise_d))
-    dists = model.decode_batch(l0, d, float(batch.times[0]), list(batch.times[:t_len]))
-    loglik = None
-    for i, dist in enumerate(dists):
-        lp = dist.log_prob(batch.values[:, i, :])                 # (B,)
-        term = Tensor(batch.present[:, i].astype(np.float64)) * lp
-        loglik = term if loglik is None else loglik + term
+    dist = model.decode_batch(l0, d, float(batch.times[0]), list(batch.times[:t_len]))
+    lp = dist.log_prob(batch.values[:, :t_len].transpose(1, 0, 2))   # (T, B)
+    present = Tensor(batch.present[:, :t_len].T.astype(np.float64))
+    loglik = T.tsum(present * lp, axis=0)                             # (B,)
     kl = kl_divergence(l0_tgt, l0_ctx) + kl_divergence(d_tgt, d_ctx)  # (B,)
     loss = T.tmean(kl_weight * kl - loglik)
     parts = {"loglik": float(loglik.values.mean()), "kl": float(kl.values.mean())}
@@ -208,15 +206,11 @@ def predict_average_params(model, ds, context_len, rng, n_contexts=8,
         idx = rng.integers(0, mat.shape[1], size=n_contexts)
         values[:, t, :] = mat[:, idx].T
     mask = draw_presence_mask(n_contexts, context_len, context_len, frequency, rng)
-    dists = model.predict_batch(ds.times[:context_len], values, mask,
-                                list(ds.times))
-    preds = []
-    for dist in dists:
-        if model.cfg.head == "poisson":
-            preds.append(dist.lam.values.mean(axis=0))
-        else:
-            preds.append((dist.mu.values.mean(axis=0), dist.sigma.values.mean(axis=0)))
-    return preds
+    dist = model.predict_batch(ds.times[:context_len], values, mask,
+                               list(ds.times))
+    if model.cfg.head == "poisson":
+        return list(dist.lam.values.mean(axis=1))
+    return list(zip(dist.mu.values.mean(axis=1), dist.sigma.values.mean(axis=1)))
 
 
 def evaluate(model, ds, context_len, target_len, rng, n_contexts=8,

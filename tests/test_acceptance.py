@@ -20,7 +20,7 @@ from snodep.data import (
     top_expressed_genes,
 )
 from snodep.distributions import DiagNormal, PoissonD, kl_divergence
-from snodep.encoders import ContextSet, gru_ode_encode, np_encode_batch
+from snodep.encoders import gru_ode_encode_batch, np_encode_batch
 from snodep.models import KINDS, ModelConfig, ProcessModel
 from snodep.ode import SolverConfig, integrate
 from snodep.scfea import (
@@ -178,17 +178,17 @@ def test_criterion_4_encoder_invariances(capsys):
     perm_err = np.abs(r.values - r_p.values).max()
 
     gru = nn.init_gru(rng, 2, 5)
-    ctx_values = rng.normal(size=(4, 2))
-    ctx = ContextSet(np.arange(4.0), ctx_values)
+    ctx_values = rng.normal(size=(1, 4, 2))
 
     def zero_field(t, h, _ctx):
         return Tensor(np.zeros(h.shape))
 
-    r_ode = gru_ode_encode(ctx, zero_field, gru, SolverConfig("euler", 3))
+    r_ode = gru_ode_encode_batch(np.arange(4.0), ctx_values, np.ones((1, 4), dtype=bool),
+                                 zero_field, gru, SolverConfig("euler", 3))
     h = Tensor(np.zeros((1, 5)))
     for i in (3, 2, 1, 0):
-        h = nn.gru_cell(gru, Tensor(ctx_values[i][None, :]), h)
-    gru_err = np.abs(r_ode.values - h.values[0]).max()
+        h = nn.gru_cell(gru, Tensor(ctx_values[:, i, :]), h)
+    gru_err = np.abs(r_ode.values - h.values).max()
 
     ok = perm_err <= 1e-12 and gru_err <= 1e-10
     announce(capsys, 4,

@@ -61,7 +61,7 @@ class TestGenerate:
              "--cells", "5", "--timesteps", "4", "--features", "2"])
         run(["generate", "--kind", "poisson", "--out", b, "--quiet",
              "--cells", "5", "--timesteps", "4", "--features", "2",
-             "--gen-seed", "1"])
+             "--seed", "1"])
         assert (a / "dataset.csv").read_bytes() != (b / "dataset.csv").read_bytes()
 
 
@@ -99,8 +99,7 @@ class TestTrainEvaluate:
 
 
 class TestCompare:
-    def test_diff_column(self, tmp_path, dataset, cfg_path, monkeypatch):
-        monkeypatch.setenv("SNODEP_THREADS", "2")
+    def test_diff_column(self, tmp_path, dataset, cfg_path):
         out = tmp_path / "cmp"
         assert run(["compare", "--data", dataset, "--config", cfg_path,
                     "--models", "nodep,snodep", "--seeds", "2", "--out", out,
@@ -118,18 +117,6 @@ class TestCompare:
         assert len(by_model["nodep"]) == 2 and len(by_model["snodep"]) == 2
         assert means["nodep"] == pytest.approx(np.mean(by_model["nodep"]))
         assert diff == pytest.approx(means["nodep"] - means["snodep"])
-
-    def test_thread_env_matches_serial(self, tmp_path, dataset, cfg_path,
-                                       monkeypatch):
-        outs = []
-        for threads, name in (("1", "s"), ("3", "p")):
-            monkeypatch.setenv("SNODEP_THREADS", threads)
-            out = tmp_path / name
-            assert run(["compare", "--data", dataset, "--config", cfg_path,
-                        "--models", "np", "--seeds", "2", "--out", out,
-                        "--quiet"]) == 0
-            outs.append((out / "comparison.csv").read_bytes())
-        assert outs[0] == outs[1]
 
 
 class TestSweep:

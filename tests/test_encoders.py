@@ -7,16 +7,13 @@ from snodep import nn
 from snodep import tensor as T
 from snodep.distributions import DiagNormal, LogNormalD
 from snodep.encoders import (
-    ContextSet,
-    gru_ode_encode,
     gru_ode_encode_batch,
     init_latent_heads,
     latent_params,
-    lstm_encode_backward,
     lstm_encode_backward_batch,
-    np_encode,
     np_encode_batch,
 )
+from snodep.models import ModelConfig, ProcessModel
 from snodep.ode import SolverConfig
 from snodep.tensor import DomainError, Tensor
 
@@ -26,19 +23,27 @@ def zero_field(t, h, ctx):
 
 
 class TestContextSet:
-    def test_defaults_all_present(self):
-        ctx = ContextSet(np.arange(3.0), np.zeros((3, 2)))
-        assert ctx.present.all()
+    """The context set a model encodes: ``ProcessModel.encode_batch`` checks it."""
+
+    model = ProcessModel(ModelConfig("nodep", d_y=1, d_r=4, d_z=2, d_d=2, hidden=3))
+
+    def test_mask_shape_must_match(self):
+        with pytest.raises(ValueError, match="mask shape"):
+            self.model.encode_batch(np.arange(3.0), np.zeros((1, 3, 1)),
+                                    np.ones((1, 2), dtype=bool))
 
     def test_rejects_empty_and_unsorted(self):
         with pytest.raises(ValueError):
-            ContextSet(np.arange(2.0), np.zeros((2, 1)), np.zeros(2, dtype=bool))
-        with pytest.raises(ValueError):
-            ContextSet(np.array([1.0, 0.0]), np.zeros((2, 1)))
+            self.model.encode_batch(np.arange(2.0), np.zeros((1, 2, 1)),
+                                    np.zeros((1, 2), dtype=bool))
+        with pytest.raises(ValueError, match="ascending"):
+            self.model.encode_batch(np.array([1.0, 0.0]), np.zeros((1, 2, 1)),
+                                    np.ones((1, 2), dtype=bool))
 
     def test_rejects_value_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            ContextSet(np.arange(3.0), np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="values shape"):
+            self.model.encode_batch(np.arange(3.0), np.zeros((1, 2, 1)),
+                                    np.ones((1, 2), dtype=bool))
 
 
 class TestMeanEncoder:
@@ -64,9 +69,9 @@ class TestMeanEncoder:
         np.testing.assert_allclose(r.values, sub.values, atol=1e-12)
 
     def test_single_point_context(self):
-        ctx = ContextSet(np.array([0.5]), self.rng.normal(size=(1, 2)))
-        r = np_encode(ctx, self.params)
-        assert r.shape == (4,)
+        r = np_encode_batch(np.array([0.5]), self.rng.normal(size=(1, 1, 2)),
+                            np.ones((1, 1), dtype=bool), self.params)
+        assert r.shape == (1, 4)
 
     def test_all_masked_row_rejected(self):
         with pytest.raises(DomainError):
@@ -127,10 +132,6 @@ class TestLstmEncoder:
             lstm_encode_backward_batch(np.arange(3.0), np.zeros((1, 3, 2)), mask,
                                        self.params)
 
-    def test_single_sequence_wrapper(self):
-        ctx = ContextSet(np.arange(3.0), self.rng.normal(size=(3, 2)))
-        assert lstm_encode_backward(ctx, self.params).shape == (5,)
-
 
 class TestGruOdeEncoder:
     rng = np.random.default_rng(2)
@@ -142,26 +143,31 @@ class TestGruOdeEncoder:
         return lambda t, h, ctx: g(h)
 
     def test_zero_field_equals_backward_gru(self):
-        values = self.rng.normal(size=(4, 2))
-        ctx = ContextSet(np.arange(4.0), values)
-        r = gru_ode_encode(ctx, zero_field, self.gru, self.cfg)
+        values = self.rng.normal(size=(1, 4, 2))
+        r = gru_ode_encode_batch(np.arange(4.0), values, np.ones((1, 4), dtype=bool),
+                                 zero_field, self.gru, self.cfg)
         h = Tensor(np.zeros((1, 5)))
         for i in (3, 2, 1, 0):
-            h = nn.gru_cell(self.gru, Tensor(values[i][None, :]), h)
-        np.testing.assert_allclose(r.values, h.values[0], atol=1e-10)
+            h = nn.gru_cell(self.gru, Tensor(values[:, i, :]), h)
+        np.testing.assert_allclose(r.values, h.values, atol=1e-10)
 
     def test_batched_matches_single(self):
+        # each row of a masked batch equals a batch of one holding only that
+        # row's present points; the field is autonomous, so the step grid
+        # between present points is all that matters
         g_field = self._g_mlp_field()
+        times = np.arange(5.0)
         values = self.rng.normal(size=(3, 5, 2))
         mask = np.array([[True, True, True, True, True],
                          [True, False, True, False, True],
                          [True, True, False, True, False]])
-        r = gru_ode_encode_batch(np.arange(5.0), values, mask, g_field, self.gru,
-                                 self.cfg)
+        r = gru_ode_encode_batch(times, values, mask, g_field, self.gru, self.cfg)
         for b in range(3):
-            ctx = ContextSet(np.arange(5.0), values[b], mask[b])
-            single = gru_ode_encode(ctx, g_field, self.gru, self.cfg)
-            np.testing.assert_allclose(r.values[b], single.values, atol=1e-10)
+            keep = mask[b]
+            single = gru_ode_encode_batch(times[keep], values[b:b + 1, keep],
+                                          np.ones((1, keep.sum()), dtype=bool),
+                                          g_field, self.gru, self.cfg)
+            np.testing.assert_allclose(r.values[b], single.values[0], atol=1e-10)
 
     def test_masked_points_are_skipped(self):
         g_field = self._g_mlp_field()
@@ -174,12 +180,6 @@ class TestGruOdeEncoder:
         r2 = gru_ode_encode_batch(np.arange(4.0), garbage, mask, g_field, self.gru,
                                   self.cfg)
         np.testing.assert_allclose(r.values, r2.values, atol=1e-12)
-
-    def test_requires_two_present_points(self):
-        ctx = ContextSet(np.arange(3.0), np.zeros((3, 2)),
-                         np.array([True, False, False]))
-        with pytest.raises(ValueError):
-            gru_ode_encode(ctx, zero_field, self.gru, self.cfg)
 
     def test_batch_requires_first_timestep(self):
         mask = np.array([[False, True, True]])
@@ -200,11 +200,6 @@ class TestLatentHeads:
         assert np.all(l0.sigma.values > 0) and np.all(d.sigma.values > 0)
         l0, d = latent_params(r, self.heads, "lognormal")
         assert isinstance(l0, LogNormalD) and isinstance(d, LogNormalD)
-
-    def test_one_dim_input_lifted(self):
-        r = Tensor(self.rng.normal(size=6))
-        l0, _ = latent_params(r, self.heads, "normal")
-        assert l0.mu.shape == (1, 4)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from snodep.distributions import DiagNormal, PoissonD
-from snodep.encoders import ContextSet
 from snodep.models import ENCODER_FOR_KIND, KINDS, ModelConfig, ProcessModel
 from snodep.ode import SolverConfig
 from snodep.tensor import Tensor, save_checkpoint, restore_checkpoint
@@ -78,18 +77,17 @@ class TestDecode:
             model = ProcessModel(tiny_cfg("np", head=head), seed=0)
             l0 = Tensor(np.zeros((2, 4)))
             d = Tensor(np.zeros((2, 3)))
-            dists = model.decode_batch(l0, d, 0.0, [0.0, 1.0, 2.5])
-            assert len(dists) == 3
-            assert all(isinstance(x, cls) for x in dists)
-            p = dists[0].lam if head == "poisson" else dists[0].mu
-            assert p.shape == (2, 2)
+            dist = model.decode_batch(l0, d, 0.0, [0.0, 1.0, 2.5])
+            assert isinstance(dist, cls)
+            p = dist.lam if head == "poisson" else dist.mu
+            assert p.shape == (3, 2, 2)
 
     def test_ode_decode_at_origin_skips_integration(self):
         model = ProcessModel(tiny_cfg("nodep"), seed=0)
         l0 = Tensor(np.ones((1, 4)))
         d = Tensor(np.zeros((1, 3)))
-        only_origin = model.decode_batch(l0, d, 0.0, [0.0])[0]
-        direct = model._head_dist(l0)
+        only_origin = model.decode_batch(l0, d, 0.0, [0.0])
+        direct = model._head_dist(l0, 1)
         np.testing.assert_array_equal(only_origin.mu.values, direct.mu.values)
 
     def test_ode_decode_prefix_consistent(self):
@@ -98,8 +96,23 @@ class TestDecode:
         l0 = Tensor(np.ones((1, 4)) * 0.3)
         d = Tensor(np.ones((1, 3)) * 0.1)
         path = model.decode_batch(l0, d, 0.0, [1.0, 2.0, 3.0])
-        last = model.decode_batch(l0, d, 0.0, [3.0])[0]
-        np.testing.assert_allclose(path[-1].mu.values, last.mu.values, atol=1e-12)
+        last = model.decode_batch(l0, d, 0.0, [3.0])
+        np.testing.assert_allclose(path.mu.values[-1], last.mu.values[0], atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["np", "nodep"])
+    def test_rows_match_single_query_decodes(self, kind):
+        # the (T, B, d_y) parameters are time-major: row i is the decode at
+        # query time i alone, for every batch element
+        model = ProcessModel(tiny_cfg(kind), seed=2)
+        rng = np.random.default_rng(3)
+        l0, d = Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(2, 3)))
+        dist = model.decode_batch(l0, d, 0.0, [1.0, 2.0, 3.0])
+        assert dist.mu.shape == dist.sigma.shape == (3, 2, 2)
+        for i, t in enumerate([1.0, 2.0, 3.0]):
+            one = model.decode_batch(l0, d, 0.0, [t])
+            np.testing.assert_allclose(dist.mu.values[i], one.mu.values[0], atol=1e-12)
+            np.testing.assert_allclose(dist.sigma.values[i], one.sigma.values[0],
+                                       atol=1e-12)
 
     def test_rejects_queries_before_origin(self):
         model = ProcessModel(tiny_cfg("nodep"), seed=0)
@@ -112,8 +125,9 @@ class TestDecode:
 
     def test_empty_queries(self):
         model = ProcessModel(tiny_cfg("nodep"), seed=0)
-        assert model.decode_batch(Tensor(np.zeros((1, 4))),
-                                  Tensor(np.zeros((1, 3))), 0.0, []) == []
+        with pytest.raises(ValueError, match="at least one query time"):
+            model.decode_batch(Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 3))),
+                               0.0, [])
 
 
 class TestPredict:
@@ -121,11 +135,11 @@ class TestPredict:
     def test_deterministic(self, kind):
         model = ProcessModel(tiny_cfg(kind), seed=0)
         rng = np.random.default_rng(0)
-        ctx = ContextSet(np.arange(4.0), rng.normal(size=(4, 2)))
-        a = model.predict(ctx, [0.0, 1.0, 4.0])
-        b = model.predict(ctx, [0.0, 1.0, 4.0])
-        for da, db in zip(a, b):
-            np.testing.assert_array_equal(da.mu.values, db.mu.values)
+        values, mask = rng.normal(size=(1, 4, 2)), np.ones((1, 4), dtype=bool)
+        a = model.predict_batch(np.arange(4.0), values, mask, [0.0, 1.0, 4.0])
+        b = model.predict_batch(np.arange(4.0), values, mask, [0.0, 1.0, 4.0])
+        assert a.mu.shape == (3, 1, 2)
+        np.testing.assert_array_equal(a.mu.values, b.mu.values)
 
     def test_lognormal_zero_noise_uses_exp_mu(self):
         model = ProcessModel(tiny_cfg("np", latent_family="lognormal"), seed=0)
@@ -134,9 +148,9 @@ class TestPredict:
         values = rng.normal(size=(1, 3, 2))
         mask = np.ones((1, 3), dtype=bool)
         l0_dist, d_dist = model.encode_batch(times, values, mask)
-        pred = model.predict_batch(times, values, mask, [0.0])[0]
+        pred = model.predict_batch(times, values, mask, [0.0])
         manual = model.decode_batch(Tensor(np.exp(l0_dist.mu.values)),
-                                    Tensor(np.exp(d_dist.mu.values)), 0.0, [0.0])[0]
+                                    Tensor(np.exp(d_dist.mu.values)), 0.0, [0.0])
         np.testing.assert_allclose(pred.mu.values, manual.mu.values, atol=1e-12)
 
     @pytest.mark.parametrize("family", ["normal", "lognormal"])
@@ -152,23 +166,21 @@ class TestPredict:
         median = [Tensor(link(dist.mu.values)) for dist in (l0_dist, d_dist)]
         pred = model.predict_batch(times, values, mask, [0.0, 2.0])
         at_median = model.decode_batch(*median, 0.0, [0.0, 2.0])
-        for a, b in zip(pred, at_median):
-            np.testing.assert_array_equal(a.mu.values, b.mu.values)
+        np.testing.assert_array_equal(pred.mu.values, at_median.mu.values)
         if family == "lognormal":
             mean = [Tensor(np.exp(dist.mu.values + 0.5 * dist.sigma.values ** 2))
                     for dist in (l0_dist, d_dist)]
             at_mean = model.decode_batch(*mean, 0.0, [0.0, 2.0])
-            assert not np.allclose(pred[1].mu.values, at_mean[1].mu.values)
+            assert not np.allclose(pred.mu.values[1], at_mean.mu.values[1])
 
     def test_checkpoint_roundtrip_preserves_predictions(self, tmp_path):
         rng = np.random.default_rng(0)
-        ctx = ContextSet(np.arange(4.0), rng.normal(size=(4, 2)))
+        ctx = (np.arange(4.0), rng.normal(size=(1, 4, 2)), np.ones((1, 4), dtype=bool))
         model = ProcessModel(tiny_cfg("snodep"), seed=0)
-        ref = model.predict(ctx, [0.0, 2.0])
+        ref = model.predict_batch(*ctx, [0.0, 2.0])
         path = tmp_path / "ck.npz"
         save_checkpoint(path, model.parameters())
         other = ProcessModel(tiny_cfg("snodep"), seed=99)
         restore_checkpoint(other.parameters(), path)
-        out = other.predict(ctx, [0.0, 2.0])
-        for da, db in zip(ref, out):
-            np.testing.assert_array_equal(da.mu.values, db.mu.values)
+        out = other.predict_batch(*ctx, [0.0, 2.0])
+        np.testing.assert_array_equal(ref.mu.values, out.mu.values)

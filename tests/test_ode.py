@@ -81,9 +81,9 @@ class TestPath:
         y0 = Tensor([[1.0, 0.5]])
         states = integrate_path(exp_field, y0, times, None, cfg)
         direct = integrate(exp_field, y0, 0.0, 3.0, None, cfg)
-        np.testing.assert_array_equal(states[-1].values, direct.values)
-        assert states[0] is y0
-        assert len(states) == 4
+        np.testing.assert_array_equal(states.values[-1], direct.values)
+        np.testing.assert_array_equal(states.values[0], y0.values)
+        assert states.shape == (4, 1, 2)
 
     def test_rejects_non_ascending(self):
         with pytest.raises(ValueError):
@@ -153,7 +153,7 @@ def composed_integrate_path(f, y0, times, ctx, cfg):
     states = [y0]
     for a, b in zip(times, times[1:]):
         states.append(composed_integrate(f, states[-1], a, b, ctx, cfg))
-    return states
+    return T.concat([T.reshape(s, (1,) + s.shape) for s in states], axis=0)
 
 
 def composed_run(module, attr, build):
@@ -218,7 +218,7 @@ class TestSolverNode:
 
         def run(solve):
             f, ctx = make()
-            return solve(f, y0, times, ctx, cfg)[1:]
+            return [solve(f, y0, times, ctx, cfg)]
 
         check_op(lambda: run(integrate_path), lambda: run(composed_integrate_path),
                  [y0] + tensors)
@@ -244,11 +244,10 @@ class TestSolverNode:
         shift = Tensor(trunk.first_layer_shift(Tensor(RNG.normal(size=(2, 3))), 4).values)
         states = integrate_path(lambda t, l, s: trunk(l, s, t), l0, [0.0, 0.5, 1.2],
                                 shift, SolverConfig("rk4", 4))
-        node = states[1]._parents[0]
-        assert node.op == "ode_path"
-        assert all(s._parents == (node,) for s in states[1:])
-        assert node._parents == (l0, w0, w1, b1, w2, b2)
-        assert ops_on_tape(node) == ["ode_path"]
+        assert states.op == "ode_path" and states.shape == (3, 2, 4)
+        np.testing.assert_array_equal(states.values[0], l0.values)
+        assert states._parents == (l0, w0, w1, b1, w2, b2)
+        assert ops_on_tape(states) == ["ode_path"]
 
     def test_walk_stops_at_ctx(self):
         # a tracked non-leaf ctx is a parent of the solver node, so the nodes
@@ -265,7 +264,7 @@ class TestSolverNode:
         y0 = tracked(RNG, 2, 3)
         y1 = integrate(exp_field, y0, 0.0, 0.5, None, SolverConfig("rk4", 4))
         assert y1.op == "ode_path" and y1.shape == y0.shape
-        assert integrate_path(exp_field, y0, [0.0, 0.5], None, SolverConfig())[1].op == "ode_path"
+        assert integrate_path(exp_field, y0, [0.0, 0.5], None, SolverConfig()).op == "ode_path"
 
     def test_untracked_when_nothing_requires_grad(self):
         f = linear_field(np.eye(2))
@@ -298,18 +297,20 @@ class TestDecoderAndEncoderPaths:
         l0, d = tracked(RNG, 2, 4), tracked(RNG, 2, 3)
 
         def run():
-            return [x for dist in m.decode_batch(l0, d, t0, query)
-                    for x in (dist.mu, dist.sigma)]
+            dist = m.decode_batch(l0, d, t0, query)
+            return [dist.mu, dist.sigma]
 
         check_op(run, lambda: composed_run(models, "integrate_path", run),
                  [l0, d, m.trunk.layers[0][0], m.trunk.layers[-1][1]])
 
     def test_decoder_path_is_one_tape_node(self):
         m = self.model("rk4")
-        dists = m.decode_batch(tracked(RNG, 2, 4), tracked(RNG, 2, 3), 0.0, [0.4, 1.0, 1.5])
-        ops = ops_on_tape(T.tsum(dists[0].mu + dists[1].mu + dists[2].mu))
-        assert ops.count("ode_path") == 1
-        assert ops.count("mlp") == 3          # the output head, once per query time
+        for query in ([0.0], [0.4], [0.4, 1.0, 1.5], [0.2 * i for i in range(1, 13)]):
+            dist = m.decode_batch(tracked(RNG, 2, 4), tracked(RNG, 2, 3), 0.0, query)
+            assert dist.mu.shape == (len(query), 2, 2)
+            ops = ops_on_tape(T.tsum(dist.mu))
+            assert ops.count("ode_path") == 1
+            assert ops.count("mlp") == 1      # the output head, once per decode
 
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     def test_masked_gru_ode_matches_composed(self, method):
