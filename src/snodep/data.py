@@ -1,15 +1,23 @@
 """Dataset ingestion, preprocessing, synthetic generation, and the knockout
 dataset builder.
 
-Interchange format is long CSV: ``time,sample_id,f0,f1,...``. Gene-count data
-additionally loads from tidy ``gene,day,cell_id,count`` files or a gene x cell
-matrix with a day-label sidecar. Pathways are JSON documents.
+Interchange format is long CSV: a ``time,sample_id,f0,f1,...`` header, then
+one line per sample. Values are written as Python's shortest round-trip
+``repr`` with ``\r\n`` line ends, so a saved dataset loads back bit for bit.
+On load ``sample_id`` is ignored, blank lines are skipped, rows are grouped
+into ascending times with samples in file order, and a non-finite time, a
+row whose width differs from the header's or a file with no data rows is a
+``ValidationError`` naming the file line. Gene-count data additionally loads
+from tidy ``gene,day,cell_id,count`` files or a gene x cell matrix with a
+day-label sidecar. Pathways are JSON documents.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,34 +73,62 @@ class TimeSeriesDataset:
 
 def save_timeseries_csv(path, ds: TimeSeriesDataset):
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "sample_id"] + list(ds.feature_names))
+        csv.writer(fh).writerow(["time", "sample_id"] + list(ds.feature_names))
         for t, mat in zip(ds.times, ds.samples):
-            for j in range(mat.shape[1]):
-                writer.writerow([repr(float(t)), j] + [repr(float(v)) for v in mat[:, j]])
+            lead = repr(float(t))
+            cols = np.asarray(mat, dtype=np.float64).T.tolist()
+            # one string per timestep, not per file, bounds peak memory
+            fh.write("".join(",".join([lead, str(j), *map(repr, col)]) + "\r\n"
+                             for j, col in enumerate(cols)))
 
 
 def load_timeseries_csv(path, kind, normalized=False, knockout=False):
-    groups = {}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None or header[:2] != ["time", "sample_id"]:
             raise ValidationError(f"{path}: expected header time,sample_id,<features>")
-        features = header[2:]
-        for lineno, row in enumerate(reader, start=2):
+        # np.loadtxt only warns on empty input, so find the first data line here
+        first = next((line for line in fh if line.strip("\r\n")), None)
+        if first is None:
+            raise ValidationError(f"{path}: no data rows")
+        try:
+            # sample_id may be any text and is ignored
+            rows = np.loadtxt(itertools.chain([first], fh), delimiter=",", quotechar='"',
+                              comments=None, ndmin=2, converters={1: lambda s: 0.0})
+        except ValueError as exc:
+            raise _bad_row_error(path, len(header), str(exc)) from None
+    if rows.shape[1] != len(header) or not np.isfinite(rows[:, 0]).all():
+        raise _bad_row_error(path, len(header), "malformed data rows")
+    order = np.argsort(rows[:, 0], kind="stable")
+    times, starts = np.unique(rows[order, 0], return_index=True)
+    samples = [rows[idx, 2:].T for idx in np.split(order, starts[1:])]
+    return TimeSeriesDataset(kind, times, samples, header[2:],
+                             normalized=normalized, knockout=knockout)
+
+
+def _bad_row_error(path, width, reason):
+    """The ValidationError naming the first line of a long CSV that is not a
+    data row of ``width`` fields with a finite time; ``reason`` is the
+    message if every line passes these checks."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
             if not row:
                 continue
+            line = reader.line_num
+            if len(row) != width:
+                return ValidationError(
+                    f"{path}: row {line} has {len(row)} columns, the header has {width}")
             try:
                 t = float(row[0])
-                vals = [float(v) for v in row[2:]]
+                for v in row[2:]:
+                    float(v)
             except ValueError:
-                raise ValidationError(f"{path}: non-numeric value at row {lineno}") from None
-            groups.setdefault(t, []).append(vals)
-    times = sorted(groups)
-    samples = [np.array(groups[t], dtype=np.float64).T for t in times]
-    return TimeSeriesDataset(kind, np.array(times), samples, features,
-                             normalized=normalized, knockout=knockout)
+                return ValidationError(f"{path}: non-numeric value at row {line}")
+            if not math.isfinite(t):
+                return ValidationError(f"{path}: non-finite time {row[0]!r} at row {line}")
+    return ValidationError(f"{path}: {reason}")
 
 
 def load_expression_csv(path, day_labels=None):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -81,6 +83,134 @@ class TestCsvRoundTrip:
         p.write_text("time,sample_id,g0\n0,0,abc\n")
         with pytest.raises(ValidationError, match="row 2"):
             load_timeseries_csv(p, "flux")
+
+    def test_golden_text(self, tmp_path):
+        ds = TimeSeriesDataset("flux", [1.5, -0.0],
+                               [np.array([[-0.0, 1e-05], [5e-324, 1e+300]]),
+                                np.array([[np.nan], [-np.inf]])],
+                               ["a", "b,c"])
+        path = tmp_path / "ds.csv"
+        save_timeseries_csv(path, ds)
+        assert path.read_bytes() == (
+            b'time,sample_id,a,"b,c"\r\n'
+            b"1.5,0,-0.0,5e-324\r\n"
+            b"1.5,1,1e-05,1e+300\r\n"
+            b"-0.0,0,nan,-inf\r\n")
+
+    def test_bytes_match_row_writer(self, tmp_path):
+        rng = np.random.default_rng(3)
+        d, v = 9, 5
+        times = rng.permutation(np.round(rng.normal(size=v) * 10, 3))
+        indicator = rng.integers(0, 2, size=(4, 1)).astype(float)
+        samples = []
+        for n in rng.integers(1, 40, size=v):
+            values = rng.normal(size=(d, n)) * 10.0 ** rng.integers(-300, 300, size=(d, n))
+            samples.append(np.vstack([values, np.tile(indicator, (1, n))]))
+        ds = TimeSeriesDataset("flux", times, samples, [f"m{i}" for i in range(d + 4)],
+                               knockout=True)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        save_timeseries_csv(got, ds)
+        reference_save(want, ds)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_load_matches_dict_grouping_on_shuffled_rows(self, tmp_path):
+        rng = np.random.default_rng(11)
+        time_pool = ["3.0", "-1.5", "0.0", "-0.0", "2.25", "1e-3"]
+        rows = [[time_pool[rng.integers(0, len(time_pool))], f"s{rng.integers(0, 99)}"]
+                + [repr(float(x)) for x in rng.normal(size=5)] for _ in range(400)]
+        p = tmp_path / "shuffled.csv"
+        p.write_text("time,sample_id," + ",".join(f"f{i}" for i in range(5)) + "\n"
+                     + "".join(",".join(r) + "\n" for r in rows))
+        names, times, samples = reference_load(p)
+        ds = load_timeseries_csv(p, "flux")
+        assert ds.feature_names == names
+        np.testing.assert_array_equal(ds.times, times)
+        np.testing.assert_array_equal(np.signbit(ds.times), np.signbit(times))
+        assert len(ds.samples) == len(samples)
+        for got, want in zip(ds.samples, samples):
+            np.testing.assert_array_equal(got, want)
+
+    def test_blank_lines_quotes_and_named_samples_accepted(self, tmp_path):
+        p = tmp_path / "loose.csv"
+        p.write_bytes(b'time,sample_id,g0,g1\r\n\r\n"1.0",cell-a,"2.5",3\r\n'
+                      b'\r\n0,"x,y",1,-2\r\n\n')
+        ds = load_timeseries_csv(p, "flux")
+        np.testing.assert_array_equal(ds.times, [0.0, 1.0])
+        np.testing.assert_array_equal(ds.samples[0], [[1.0], [-2.0]])
+        np.testing.assert_array_equal(ds.samples[1], [[2.5], [3.0]])
+
+    def test_negative_zero_survives(self, tmp_path):
+        ds = TimeSeriesDataset("flux", [-0.0, 1.0],
+                               [np.array([[-0.0, 0.0]]), np.array([[0.0, -0.0]])], ["m0"])
+        path = tmp_path / "ds.csv"
+        save_timeseries_csv(path, ds)
+        back = load_timeseries_csv(path, "flux")
+        np.testing.assert_array_equal(np.signbit(back.times), [True, False])
+        for a, b in zip(back.samples, ds.samples):
+            np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+    def test_bad_row_counts_blank_lines(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("time,sample_id,g0\n0,0,1\n\n\n0,0,zz\n")
+        with pytest.raises(ValidationError, match="non-numeric value at row 5"):
+            load_timeseries_csv(p, "flux")
+
+    @pytest.mark.parametrize("rows, line", [("0,0,1\nnan,1,2\n", 3), ("inf,0,1\n", 2),
+                                            ("0,0,1\n\n-inf,1,2\n", 4), ("NaN,0,1\n", 2)])
+    def test_non_finite_time_rejected(self, tmp_path, rows, line):
+        p = tmp_path / "bad.csv"
+        p.write_text("time,sample_id,g0\n" + rows)
+        with pytest.raises(ValidationError, match=f"non-finite time .* at row {line}$"):
+            load_timeseries_csv(p, "flux")
+
+    @pytest.mark.parametrize("text", ["time,sample_id,g0\r\n", "time,sample_id,g0\r\n\r\n\n"])
+    def test_header_only_rejected(self, tmp_path, text):
+        p = tmp_path / "empty.csv"
+        p.write_bytes(text.encode())
+        with pytest.raises(ValidationError, match="empty.csv: no data rows"):
+            load_timeseries_csv(p, "flux")
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,0,1,2\n0,1,1\n", "row 3 has 3 columns, the header has 4"),
+        ("0,0,1,2\n0,1,1,2,3\n", "row 3 has 5 columns, the header has 4"),
+        ("0,0,1,2,3\n1,0,3,4,5\n", "row 2 has 5 columns, the header has 4"),
+        ("0,0,1\n1,0,3\n", "row 2 has 3 columns, the header has 4"),
+    ])
+    def test_ragged_rows_rejected(self, tmp_path, rows, message):
+        p = tmp_path / "ragged.csv"
+        p.write_text("time,sample_id,g0,g1\n" + rows)
+        with pytest.raises(ValidationError, match=f"ragged.csv: {message}"):
+            load_timeseries_csv(p, "flux")
+
+    def test_value_float_accepts_but_parser_rejects(self, tmp_path):
+        # digit-group underscores are Python float syntax, not CSV numbers
+        p = tmp_path / "underscore.csv"
+        p.write_text("time,sample_id,g0\n0,0,1_000\n")
+        with pytest.raises(ValidationError, match="underscore.csv: "):
+            load_timeseries_csv(p, "flux")
+
+
+def reference_save(path, ds):
+    """The long CSV written one csv.writer row per sample."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["time", "sample_id"] + list(ds.feature_names))
+        for t, mat in zip(ds.times, ds.samples):
+            for j in range(mat.shape[1]):
+                writer.writerow([repr(float(t)), j] + [repr(float(v)) for v in mat[:, j]])
+
+
+def reference_load(path):
+    """Rows grouped in a dict keyed by time, in file order; times ascending."""
+    groups = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        for row in reader:
+            if row:
+                groups.setdefault(float(row[0]), []).append([float(v) for v in row[2:]])
+    times = sorted(groups)
+    return header[2:], np.array(times), [np.array(groups[t]).T for t in times]
 
 
 class TestExpressionLoaders:
