@@ -134,8 +134,8 @@ def cmd_knockout(args):
     pathway = dp.load_pathway_json(args.pathway)
     scfea_cfg = _scfea_config(cfg)
     ko = dp.knockout_generate(
-        ds, pathway, k=args.k or cfg["knockout"]["k"],
-        n_subsets=args.subsets or cfg["knockout"]["subsets"],
+        ds, pathway, k=args.k if args.k is not None else cfg["knockout"]["k"],
+        n_subsets=args.subsets if args.subsets is not None else cfg["knockout"]["subsets"],
         seed=args.seed if args.seed is not None else cfg["knockout"]["seed"],
         estimator=lambda d: estimate_flux_balance(d, pathway, scfea_cfg))
     for i, conf in enumerate(ko.configurations):
@@ -197,8 +197,7 @@ def cmd_evaluate(args):
 
 
 def _compare_cell(cfg, ds, kind, seed):
-    model_cfg = _model_config({**cfg, "model": {**cfg["model"], "kind": kind,
-                                                "encoder": None}}, ds.d_y)
+    model_cfg = _model_config({**cfg, "model": {**cfg["model"], "kind": kind}}, ds.d_y)
     train_cfg = _train_config(cfg, seed)
     model = ProcessModel(model_cfg, seed=seed)
     train(model, ds, train_cfg)

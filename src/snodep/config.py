@@ -1,7 +1,8 @@
 """Run configuration: a sectioned JSON document with full defaults.
 
 Unknown keys are rejected so typos fail fast. ``None`` values mean "derive
-from the data kind" (head, latent family, encoder).
+from the data kind" (head, latent family); the encoder follows from
+``model.kind`` (``models.ENCODER_FOR_KIND``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from .models import ENCODER_FOR_KIND
 DEFAULTS = {
     "model": {
         "kind": "snodep",          # np | nodep | snodep | snodep_gruode
-        "encoder": None,           # mean | lstm | gruode; derived from kind
         "head": None,              # poisson | gaussian; derived from data.kind
         "latent_family": None,     # lognormal | normal; derived from data.kind
         "d_r": 64,
@@ -93,11 +93,6 @@ def _validate(cfg):
     kind = cfg["model"]["kind"]
     if kind not in ENCODER_FOR_KIND:
         raise ValidationError(f"model.kind must be one of {sorted(ENCODER_FOR_KIND)}")
-    encoder = cfg["model"]["encoder"]
-    if encoder is not None and encoder != ENCODER_FOR_KIND[kind]:
-        raise ValidationError(
-            f"model.encoder={encoder!r} conflicts with model.kind={kind!r} "
-            f"(expects {ENCODER_FOR_KIND[kind]!r})")
     if cfg["data"]["kind"] not in ("expression", "flux", "balance"):
         raise ValidationError("data.kind must be expression, flux, or balance")
     if not 0.0 < cfg["train"]["frequency"] <= 1.0:

@@ -47,6 +47,10 @@ class TimeSeriesDataset:
         self.times = np.asarray(self.times, dtype=np.float64)
         if len(self.samples) != len(self.times):
             raise ValidationError("one sample matrix required per timestep")
+        bad = np.flatnonzero(~np.isfinite(self.times))
+        if bad.size:
+            raise ValidationError(
+                f"timestep {bad[0]}: time {self.times[bad[0]]} is not finite")
         d = len(self.feature_names)
         for t, mat in enumerate(self.samples):
             mat = np.asarray(mat, dtype=np.float64)
@@ -58,9 +62,10 @@ class TimeSeriesDataset:
                 raise ValidationError(f"timestep {t} has no samples")
         if self.kind == "expression" and not self.normalized:
             for t, mat in enumerate(self.samples):
-                if np.any(mat < 0) or np.any(mat != np.round(mat)):
-                    raise ValidationError(
-                        f"timestep {t}: expression counts must be non-negative integers")
+                if (not np.isfinite(mat).all() or np.any(mat < 0)
+                        or np.any(mat != np.round(mat))):
+                    raise ValidationError(f"timestep {t}: expression counts must be "
+                                          "finite non-negative integers")
 
     @property
     def n_timesteps(self):
@@ -157,17 +162,24 @@ def _load_expression_tidy(path, reader):
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
-        gene, day_s, cell, count_s = row
         try:
+            gene, day_s, cell, count_s = row
             day = float(day_s)
             count = float(count_s)
         except ValueError:
-            raise ValidationError(f"{path}: non-numeric value at row {lineno}") from None
-        if count < 0 or count != round(count):
+            problem = "non-numeric value" if len(row) == 4 else f"{len(row)} fields, not 4,"
+            raise ValidationError(f"{path}: {problem} at row {lineno}") from None
+        # is_integer() is False for nan and inf too
+        if count < 0 or not count.is_integer():
             raise ValidationError(
-                f"{path}: negative or non-integer count at row {lineno}")
+                f"{path}: negative, non-integer or non-finite count at row {lineno}")
+        cells = by_day.get(day)
+        if cells is None:
+            if not math.isfinite(day):
+                raise ValidationError(f"{path}: non-finite day at row {lineno}")
+            cells = by_day[day] = {}
         i = gene_row.setdefault(gene, len(gene_row))
-        by_day.setdefault(day, {}).setdefault(cell, {})[i] = count
+        cells.setdefault(cell, {})[i] = count
     days = sorted(by_day)
     samples = []
     for day in days:
@@ -199,14 +211,17 @@ def _load_expression_matrix(path, header, reader, day_labels):
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
+        if len(row) != len(header):
+            raise ValidationError(
+                f"{path}: {len(row)} fields, not {len(header)}, at row {lineno}")
         genes.append(row[0])
         try:
             vals = [float(v) for v in row[1:]]
         except ValueError:
             raise ValidationError(f"{path}: non-numeric count at row {lineno}") from None
-        if any(v < 0 or v != round(v) for v in vals):
+        if any(v < 0 or not v.is_integer() for v in vals):
             raise ValidationError(
-                f"{path}: negative or non-integer count at row {lineno}")
+                f"{path}: negative, non-integer or non-finite count at row {lineno}")
         rows.append(vals)
     mat = np.array(rows, dtype=np.float64)
     days = sorted(set(day_labels[c] for c in cells))
@@ -412,8 +427,8 @@ def knockout_generate(ds: TimeSeriesDataset, pathway: PathwayDef, k, n_subsets,
     """
     if ds.kind != "expression":
         raise ValidationError("knockout_generate needs an expression dataset")
-    if k > ds.d_y:
-        raise ValidationError(f"k={k} exceeds the {ds.d_y} available genes")
+    if not 1 <= k <= ds.d_y:
+        raise ValidationError(f"k={k} must lie in 1..{ds.d_y}, the available genes")
     if n_subsets < 2:
         raise ValidationError("need at least 2 configurations for a train/test split")
     rng = np.random.default_rng(seed)

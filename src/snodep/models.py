@@ -20,9 +20,9 @@ from .distributions import DiagNormal, PoissonD, positive_rate, positive_sigma
 from .ode import SolverConfig, integrate_path
 from .tensor import Tensor
 
-KINDS = ("np", "nodep", "snodep", "snodep_gruode")
 ENCODER_FOR_KIND = {"np": "mean", "nodep": "mean", "snodep": "lstm",
                     "snodep_gruode": "gruode"}
+KINDS = tuple(ENCODER_FOR_KIND)
 
 
 @dataclass

@@ -9,11 +9,11 @@ continuous adjoint.
 
 Each stage calls the field on a fresh tracked leaf holding the stage state.
 The stage's vector-Jacobian product is read from the nodes the field built,
-walking back from its output to that leaf and stopping at leaves and at
-``ctx``; for a fused MLP field this is the MLP node's own backward pass.
-Tracked non-leaf inputs must reach a field through ``ctx``: anything else the
-field closes over is a node the walk passes through, so its backward pass
-reruns at every stage.
+with the same walk and pull that ``tensor.backward`` uses, stopped at tracked
+leaves and at ``ctx``; for a fused MLP field this is the MLP node's own
+backward pass. Tracked non-leaf inputs must reach a field through ``ctx``:
+anything else the field closes over is a node the walk passes through, so its
+backward pass reruns at every stage.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ class SolverConfig:
 
 
 class _Stage:
-    """One field evaluation: its state leaf, its output, and the nodes between
-    them in reverse topological order."""
+    """One field evaluation: its state leaf, its output, and the tape walk
+    from that output back to the stage's boundary."""
 
-    __slots__ = ("leaf", "out", "order")
+    __slots__ = ("leaf", "out", "order", "stop")
 
     def __init__(self, f, t, y, ctx, stop, externals):
         self.leaf = Tensor(y, requires_grad=True)
@@ -50,57 +50,21 @@ class _Stage:
         if self.out.shape != y.shape:
             raise ShapeError(
                 f"vector field returned shape {self.out.shape}, state has {y.shape}")
-        self.order = _interior(self.out, self.leaf, stop, externals)
+        self.stop = stop
+        self.order = T._reach(self.out, stop)
+        for node in reversed(self.order):
+            if node.requires_grad and node is not self.leaf and (
+                    not node._parents or id(node) in stop):
+                externals.setdefault(id(node), node)
 
     def vjp(self, g, ext_grads):
         """Add the field's gradient for output cotangent ``g`` into
         ``ext_grads``; return the cotangent of the stage state (0.0 if none)."""
-        out = self.out
-        if not out.requires_grad:
-            return 0.0
-        grads = {id(out): g}
-        for node in self.order:
-            gn = grads.pop(id(node), None)
-            if gn is None:
-                continue
-            for p, pg in zip(node._parents, node._backward(gn)):
-                if pg is None or not p.requires_grad:
-                    continue
-                k = id(p)
-                grads[k] = grads[k] + pg if k in grads else pg
+        grads = T._pull(self.order, self.out, g, self.stop)
         g_state = grads.pop(id(self.leaf), 0.0)
         for k, pg in grads.items():
             ext_grads[k] += pg
         return g_state
-
-
-def _interior(out, leaf, stop, externals):
-    """The tracked nodes from ``out`` down to its boundary, in reverse
-    topological order (``out`` first, unless it is on the boundary).
-
-    The boundary is the stage ``leaf``, every tracked leaf and the node whose
-    id is ``stop``; boundary nodes other than ``leaf`` are added to
-    ``externals`` (id -> tensor).
-    """
-    order, seen, stack = [], set(), [(out, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        k = id(node)
-        if k in seen or not node.requires_grad:
-            continue
-        seen.add(k)
-        if node is leaf:
-            continue
-        if node._backward is None or k == stop:
-            externals.setdefault(k, node)
-            continue
-        stack.append((node, True))
-        stack.extend((p, False) for p in reversed(node._parents))
-    order.reverse()
-    return order
 
 
 def _solve(f, y0, times, ctx, cfg, stacked):
@@ -112,7 +76,7 @@ def _solve(f, y0, times, ctx, cfg, stacked):
     ``ctx`` that the field's stages reach.
     """
     rk4 = cfg.method == "rk4"
-    stop = id(ctx) if isinstance(ctx, Tensor) else None
+    stop = (id(ctx),) if isinstance(ctx, Tensor) else ()
     externals = {}
     steps = []        # (h, stages) per step, in order
     ends = {}         # number of steps taken -> index of the path time reached

@@ -4,6 +4,12 @@ Every learnable quantity in this package lives in a :class:`Tensor`. Operations
 on tracked tensors build a computation graph; ``backward`` replays it in
 reverse topological order to accumulate gradients. Values are always float64
 and row-major.
+
+This module alone builds and walks the graph. Every op makes its node through
+:func:`fused`, so a node with parents is always tracked. One walk
+(``_reach``) orders the nodes behind an output and one pull (``_pull``)
+carries a cotangent back through that order; ``backward`` and the stage
+vector-Jacobian products of the ODE solver (``ode.py``) both use them.
 """
 
 from __future__ import annotations
@@ -115,14 +121,17 @@ def _coerce(x):
 
 
 def fused(op, out, parents, bwd):
-    """One tape node for a composite op with a hand-written backward pass.
+    """One tape node with a hand-written backward pass; every op builds its
+    node here.
 
     ``bwd(g)`` returns one gradient (or None) per parent. The result is an
-    untracked tensor when no parent requires grad.
+    untracked tensor without parents when no parent requires grad, so a node
+    with parents is always tracked.
     """
-    if not any(p.requires_grad for p in parents):
-        return Tensor(out, op=op)
-    return Tensor(out, True, tuple(parents), bwd, op)
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(out, True, tuple(parents), bwd, op)
+    return Tensor(out, op=op)
 
 
 def _check_broadcast(op, a_vals, b_vals):
@@ -137,43 +146,34 @@ def _check_broadcast(op, a_vals, b_vals):
 def add(a, b):
     a, b = _coerce(a), _coerce(b)
     _check_broadcast("add", a.values, b.values)
-    out = a.values + b.values
-    if not (a.requires_grad or b.requires_grad):
-        return Tensor(out, op="add")
     ash, bsh = a.values.shape, b.values.shape
 
     def bwd(g):
         return _unbroadcast(g, ash), _unbroadcast(g, bsh)
 
-    return Tensor(out, True, (a, b), bwd, "add")
+    return fused("add", a.values + b.values, (a, b), bwd)
 
 
 def sub(a, b):
     a, b = _coerce(a), _coerce(b)
     _check_broadcast("sub", a.values, b.values)
-    out = a.values - b.values
-    if not (a.requires_grad or b.requires_grad):
-        return Tensor(out, op="sub")
     ash, bsh = a.values.shape, b.values.shape
 
     def bwd(g):
         return _unbroadcast(g, ash), _unbroadcast(-g, bsh)
 
-    return Tensor(out, True, (a, b), bwd, "sub")
+    return fused("sub", a.values - b.values, (a, b), bwd)
 
 
 def mul(a, b):
     a, b = _coerce(a), _coerce(b)
     _check_broadcast("mul", a.values, b.values)
-    out = a.values * b.values
-    if not (a.requires_grad or b.requires_grad):
-        return Tensor(out, op="mul")
     av, bv = a.values, b.values
 
     def bwd(g):
         return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
 
-    return Tensor(out, True, (a, b), bwd, "mul")
+    return fused("mul", av * bv, (a, b), bwd)
 
 
 def div(a, b):
@@ -181,15 +181,12 @@ def div(a, b):
     _check_broadcast("div", a.values, b.values)
     if np.any(b.values == 0.0):
         raise DomainError("div: division by zero denominator")
-    out = a.values / b.values
-    if not (a.requires_grad or b.requires_grad):
-        return Tensor(out, op="div")
     av, bv = a.values, b.values
 
     def bwd(g):
         return _unbroadcast(g / bv, av.shape), _unbroadcast(-g * av / (bv * bv), bv.shape)
 
-    return Tensor(out, True, (a, b), bwd, "div")
+    return fused("div", av / bv, (a, b), bwd)
 
 
 def matmul(a, b):
@@ -202,27 +199,22 @@ def matmul(a, b):
         raise ShapeError(
             f"matmul: inner dimensions differ, {a.values.shape} @ {b.values.shape}"
         )
-    out = a.values @ b.values
-    if not (a.requires_grad or b.requires_grad):
-        return Tensor(out, op="matmul")
     av, bv = a.values, b.values
 
     def bwd(g):
         return g @ bv.T, av.T @ g
 
-    return Tensor(out, True, (a, b), bwd, "matmul")
+    return fused("matmul", av @ bv, (a, b), bwd)
 
 
 def tanh(a):
     a = _coerce(a)
     out = np.tanh(a.values)
-    if not a.requires_grad:
-        return Tensor(out, op="tanh")
 
     def bwd(g):
         return (g * (1.0 - out * out),)
 
-    return Tensor(out, True, (a,), bwd, "tanh")
+    return fused("tanh", out, (a,), bwd)
 
 
 def _expit(x):
@@ -233,13 +225,11 @@ def _expit(x):
 def sigmoid(a):
     a = _coerce(a)
     out = _expit(a.values)
-    if not a.requires_grad:
-        return Tensor(out, op="sigmoid")
 
     def bwd(g):
         return (g * out * (1.0 - out),)
 
-    return Tensor(out, True, (a,), bwd, "sigmoid")
+    return fused("sigmoid", out, (a,), bwd)
 
 
 def _softplus(x):
@@ -250,63 +240,48 @@ def _softplus(x):
 def softplus(a):
     a = _coerce(a)
     x = a.values
-    out = _softplus(x)
-    if not a.requires_grad:
-        return Tensor(out, op="softplus")
-    s = _expit(x)
 
     def bwd(g):
-        return (g * s,)
+        return (g * _expit(x),)
 
-    return Tensor(out, True, (a,), bwd, "softplus")
+    return fused("softplus", _softplus(x), (a,), bwd)
 
 
 def exp(a):
     a = _coerce(a)
     out = np.exp(a.values)
-    if not a.requires_grad:
-        return Tensor(out, op="exp")
 
     def bwd(g):
         return (g * out,)
 
-    return Tensor(out, True, (a,), bwd, "exp")
+    return fused("exp", out, (a,), bwd)
 
 
 def log(a):
     a = _coerce(a)
-    if np.any(a.values <= 0.0):
-        idx = np.argwhere(a.values <= 0.0)[0]
-        raise DomainError(f"log: non-positive input at index {tuple(idx)}")
-    out = np.log(a.values)
-    if not a.requires_grad:
-        return Tensor(out, op="log")
     av = a.values
+    if np.any(av <= 0.0):
+        idx = np.argwhere(av <= 0.0)[0]
+        raise DomainError(f"log: non-positive input at index {tuple(idx)}")
 
     def bwd(g):
         return (g / av,)
 
-    return Tensor(out, True, (a,), bwd, "log")
+    return fused("log", np.log(av), (a,), bwd)
 
 
 def square(a):
     a = _coerce(a)
-    out = a.values * a.values
-    if not a.requires_grad:
-        return Tensor(out, op="square")
     av = a.values
 
     def bwd(g):
         return (2.0 * g * av,)
 
-    return Tensor(out, True, (a,), bwd, "square")
+    return fused("square", av * av, (a,), bwd)
 
 
 def tsum(a, axis=None, keepdims=False):
     a = _coerce(a)
-    out = a.values.sum(axis=axis, keepdims=keepdims)
-    if not a.requires_grad:
-        return Tensor(out, op="sum")
     ash = a.values.shape
 
     def bwd(g):
@@ -315,7 +290,7 @@ def tsum(a, axis=None, keepdims=False):
         gg = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, ash).copy(),)
 
-    return Tensor(out, True, (a,), bwd, "sum")
+    return fused("sum", a.values.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
 
 def tmean(a, axis=None, keepdims=False):
@@ -328,7 +303,7 @@ def tmean(a, axis=None, keepdims=False):
 
 
 def concat(tensors, axis=-1):
-    tensors = [_coerce(t) for t in tensors]
+    tensors = tuple(_coerce(t) for t in tensors)
     if not tensors:
         raise ShapeError("concat: empty input list")
     try:
@@ -337,22 +312,16 @@ def concat(tensors, axis=-1):
         raise ShapeError(
             f"concat: incompatible shapes {[t.values.shape for t in tensors]}"
         ) from None
-    if not any(t.requires_grad for t in tensors):
-        return Tensor(out, op="concat")
     sizes = [t.values.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
 
     def bwd(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
 
-    return Tensor(out, True, tuple(tensors), bwd, "concat")
+    return fused("concat", out, tensors, bwd)
 
 
 def tslice(a, key):
     a = _coerce(a)
-    out = a.values[key]
-    if not a.requires_grad:
-        return Tensor(out, op="slice")
     ash = a.values.shape
 
     def bwd(g):
@@ -360,7 +329,7 @@ def tslice(a, key):
         z[key] = g
         return (z,)
 
-    return Tensor(out, True, (a,), bwd, "slice")
+    return fused("slice", a.values[key], (a,), bwd)
 
 
 def reshape(a, shape):
@@ -369,14 +338,12 @@ def reshape(a, shape):
         out = a.values.reshape(shape)
     except ValueError:
         raise ShapeError(f"reshape: cannot view {a.values.shape} as {shape}") from None
-    if not a.requires_grad:
-        return Tensor(out, op="reshape")
     ash = a.values.shape
 
     def bwd(g):
         return (g.reshape(ash),)
 
-    return Tensor(out, True, (a,), bwd, "reshape")
+    return fused("reshape", out, (a,), bwd)
 
 
 # ln(n!) cache, extended on demand; entry i holds ln(i!)
@@ -413,6 +380,53 @@ def lgamma_int(k):
     return Tensor(table[ki - 1], op="lgamma_int")
 
 
+def _reach(out, stop=()):
+    """Every node reachable from ``out``, each after its inputs. A node whose
+    id is in ``stop`` is included but not walked through."""
+    order, seen, stack = [], set(), [(out, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        k = id(node)
+        if k in seen:
+            continue
+        seen.add(k)
+        if not node._parents or k in stop:
+            order.append(node)
+            continue
+        stack.append((node, True))
+        # this order fixes the order in which _pull sums a node's cotangents,
+        # and so the last bits of every gradient
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    return order
+
+
+def _pull(order, out, g, stop=()):
+    """Carry the cotangent ``g`` of ``out`` back through ``order`` (from
+    :func:`_reach` with the same ``stop``) and return {id: cotangent} for the
+    boundary it reaches: tracked leaves and the nodes whose id is in ``stop``."""
+    grads = {id(out): g}
+    edge = {}
+    for node in reversed(order):
+        k = id(node)
+        gn = grads.pop(k, None)
+        if gn is None:
+            continue
+        if node._parents and k not in stop:
+            for p, pg in zip(node._parents, node._backward(gn)):
+                if pg is None or not p.requires_grad:
+                    continue
+                kp = id(p)
+                grads[kp] = grads[kp] + pg if kp in grads else pg
+        elif node.requires_grad:
+            edge[k] = gn
+    return edge
+
+
 class GradientTape:
     """Ordered record of the operations reachable from one output.
 
@@ -426,22 +440,7 @@ class GradientTape:
 
     @classmethod
     def from_output(cls, out):
-        order = []
-        visited = set()
-        stack = [(out, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
-        return cls(order)
+        return cls(_reach(out))
 
 
 def backward(loss):
@@ -449,21 +448,10 @@ def backward(loss):
     if np.size(loss.values) != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     tape = GradientTape.from_output(loss)
-    grads = {id(loss): np.ones_like(loss.values)}
-    for node in reversed(tape.operations):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._backward is not None:
-            for parent, pg in zip(node._parents, node._backward(g)):
-                if pg is None or not parent.requires_grad:
-                    continue
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + pg
-                else:
-                    grads[key] = pg
-        elif node.requires_grad:
+    grads = _pull(tape.operations, loss, np.ones_like(loss.values))
+    for node in tape.operations:
+        g = grads.get(id(node))
+        if g is not None:
             node.grad = g.copy() if node.grad is None else node.grad + g
 
 

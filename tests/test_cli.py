@@ -168,6 +168,17 @@ class TestFluxCommands:
         assert flux[0] == ["time", "sample_id", "M1", "M2",
                            "ko_f0", "ko_f1", "ko_f2"]
 
+    @pytest.mark.parametrize("flag", ["--k", "--subsets"])
+    def test_knockout_zero_count_rejected(self, tmp_path, dataset, pathway, flag):
+        # an explicit 0 is not "unset": the configured 3 must not stand in for it
+        cfg = tmp_path / "ko_cfg.json"
+        cfg.write_text(json.dumps({"scfea": {"steps": 2},
+                                   "knockout": {"k": 3, "subsets": 3}}))
+        assert run(["knockout", "--data", dataset, "--pathway", pathway,
+                    "--config", cfg, flag, "0", "--out", tmp_path / "ko",
+                    "--quiet"]) == 2
+        assert not (tmp_path / "ko" / "config_00").exists()
+
 
 class TestExitCodes:
     def test_missing_file_is_validation(self, tmp_path, cfg_path):

@@ -48,9 +48,20 @@ class TestDataset:
             TimeSeriesDataset("expression", [0.0], [np.array([[1.5]])], ["g0"])
         with pytest.raises(ValidationError):
             TimeSeriesDataset("expression", [0.0], [np.array([[-1.0]])], ["g0"])
+        for count in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValidationError, match="timestep 1: .* must be finite"):
+                TimeSeriesDataset("expression", [0.0, 1.0],
+                                  [np.array([[1.0]]), np.array([[2.0, count]])], ["g0"])
         # normalized expression may be real-valued
         TimeSeriesDataset("expression", [0.0], [np.array([[-0.3]])], ["g0"],
                           normalized=True)
+
+    @pytest.mark.parametrize("kind", ["expression", "flux"])
+    @pytest.mark.parametrize("time", [np.nan, np.inf, -np.inf])
+    def test_times_must_be_finite(self, kind, time):
+        with pytest.raises(ValidationError, match="timestep 2: time .* is not finite"):
+            TimeSeriesDataset(kind, [0.0, 1.0, time],
+                              [np.ones((1, 1)) for _ in range(3)], ["g0"])
 
 
 class TestCsvRoundTrip:
@@ -260,6 +271,32 @@ class TestExpressionLoaders:
         p.write_text("gene,day,cell_id,count\ng0,0,c1,2.5\n")
         with pytest.raises(ValidationError, match="row 2"):
             load_expression_csv(p)
+
+    @pytest.mark.parametrize("row, match", [
+        ("g0,0,c1\n", "3 fields, not 4, at row 3$"),
+        ("g0,0,c1,2,9\n", "5 fields, not 4, at row 3$"),
+        ("g0,0,c1,inf\n", "negative, non-integer or non-finite count at row 3$"),
+        ("g0,0,c1,nan\n", "negative, non-integer or non-finite count at row 3$"),
+        ("g0,nan,c1,2\n", "non-finite day at row 3$"),
+        ("g0,-inf,c1,2\n", "non-finite day at row 3$"),
+    ])
+    def test_tidy_rejects_malformed_rows(self, tmp_path, row, match):
+        p = tmp_path / "tidy.csv"
+        p.write_text("gene,day,cell_id,count\ng1,0,c1,1\n" + row)
+        with pytest.raises(ValidationError, match=f"tidy.csv: {match}"):
+            load_expression_csv(p)
+
+    @pytest.mark.parametrize("row, match", [
+        ("g1,1,2\n", "3 fields, not 4, at row 3$"),
+        ("g1,1,2,3,4\n", "5 fields, not 4, at row 3$"),
+        ("g1,1,inf,3\n", "negative, non-integer or non-finite count at row 3$"),
+        ("g1,nan,2,3\n", "negative, non-integer or non-finite count at row 3$"),
+    ])
+    def test_matrix_rejects_malformed_rows(self, tmp_path, row, match):
+        p = tmp_path / "mat.csv"
+        p.write_text("gene,c1,c2,c3\ng0,1,2,3\n" + row)
+        with pytest.raises(ValidationError, match=f"mat.csv: {match}"):
+            load_expression_csv(p, day_labels={"c1": 0.0, "c2": 0.0, "c3": 1.0})
 
     def test_matrix_with_sidecar(self, tmp_path):
         p = tmp_path / "mat.csv"
@@ -520,6 +557,9 @@ class TestKnockout:
     def test_validation(self):
         with pytest.raises(ValidationError):
             knockout_generate(self.ds, self.pathway, k=99, n_subsets=2, seed=0,
+                              estimator=stub_estimator(self.pathway))
+        with pytest.raises(ValidationError, match="k=0 must lie in 1..10"):
+            knockout_generate(self.ds, self.pathway, k=0, n_subsets=2, seed=0,
                               estimator=stub_estimator(self.pathway))
         with pytest.raises(ValidationError):
             knockout_generate(self.ds, self.pathway, k=4, n_subsets=1, seed=0,

@@ -197,6 +197,30 @@ def identity():
     return exp_field, None
 
 
+def returns_ctx():
+    # the stage's output is the walk's stop node itself
+    return (lambda t, y, ctx: ctx), T.exp(C)
+
+
+def returns_leaf():
+    # the stage's output is a tracked external leaf
+    return (lambda t, y, ctx: B), None
+
+
+def two_paths():
+    # B and the state each reach the output along two paths
+    return (lambda t, y, ctx: T.tanh(y @ A) * B + T.square(B) * y), None
+
+
+def long_chain(t, y, ctx):
+    # 2,000 nodes between the output and the stage state: deeper than the
+    # recursion limit, so only an iterative walk gets through
+    z = y
+    for _ in range(1000):
+        z = T.tanh(z + B)
+    return z
+
+
 # name -> (factory returning (field, ctx), tensors the field depends on)
 FIELDS = {
     "multi_node": (multi_node, [A, C]),
@@ -204,6 +228,9 @@ FIELDS = {
     "state_free": (state_free, [B]),
     "untracked": (untracked, []),
     "identity": (identity, []),
+    "returns_ctx": (returns_ctx, [C]),
+    "returns_leaf": (returns_leaf, [B]),
+    "two_paths": (two_paths, [A, B]),
 }
 
 
@@ -236,6 +263,28 @@ class TestSolverNode:
 
         check_op(lambda: run(integrate), lambda: run(composed_integrate),
                  [y0] + tensors)
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_deep_stage_matches_composed(self, method):
+        y0 = tracked(RNG, 2, 3)
+        cfg = SolverConfig(method, 2)
+
+        def run(solve):
+            return [solve(long_chain, y0, 0.0, 0.5, None, cfg)]
+
+        check_op(lambda: run(integrate), lambda: run(composed_integrate), [y0, B])
+
+    def test_output_boundary_parents(self):
+        # a stage whose output is ctx or an external leaf still lists it as a parent
+        y0 = tracked(RNG, 2, 3)
+
+        def parents(f, ctx):
+            return integrate(f, y0, 0.0, 0.5, ctx, SolverConfig("rk4", 2))._parents
+
+        f, ctx = returns_ctx()
+        assert parents(f, ctx) == (y0, ctx)
+        assert parents(*returns_leaf()) == (y0, B)
+        assert parents(*two_paths()) == (y0, A, B)
 
     def test_path_is_one_tape_node(self):
         trunk = nn.init_mlp(RNG, [4 + 3 + 1, 5, 5, 4])

@@ -152,6 +152,20 @@ class TestGradients:
         np.testing.assert_allclose(g[0], [2.0, 4.0])
         np.testing.assert_allclose(g[1], [0.0])
 
+    @pytest.mark.parametrize("op", [
+        lambda x: x + 1.0, lambda x: 1.0 - x, lambda x: x * 2.0, lambda x: x / 2.0,
+        lambda x: x @ Tensor(np.ones((2, 2))), T.tanh, T.sigmoid, T.softplus, T.exp,
+        T.log, T.square, T.tsum, lambda x: T.concat([x, Tensor(np.ones((2, 1)))]),
+        lambda x: x[0], lambda x: T.reshape(x, (4,)),
+    ], ids=["add", "sub", "mul", "div", "matmul", "tanh", "sigmoid", "softplus", "exp",
+            "log", "square", "sum", "concat", "slice", "reshape"])
+    def test_node_has_parents_iff_tracked(self, op):
+        vals = np.array([[0.5, 1.5], [2.0, 0.25]])
+        plain = op(Tensor(vals))
+        assert not plain.requires_grad and plain._parents == ()
+        node = op(Tensor(vals, requires_grad=True))
+        assert node.requires_grad and node._parents and node._backward is not None
+
     def test_untracked_graphs_record_nothing(self):
         x = Tensor([1.0, 2.0])
         y = T.tanh(x) * 2.0
@@ -177,6 +191,44 @@ class TestTape:
         for node in tape.operations:
             for p in node._parents:
                 assert pos[id(p)] < pos[id(node)]
+
+    def test_backward_twice_accumulates(self):
+        # a second backward adds into the existing .grad: the same as one
+        # backward of the summed losses
+        def losses(x, w):
+            return T.tsum(T.tanh(x @ w)), T.tsum(T.square(x) @ w)
+
+        rng = np.random.default_rng(5)
+        x0, w0 = rng.normal(size=(2, 3)), rng.normal(size=(3, 3))
+        x, w = Tensor(x0.copy(), requires_grad=True), Tensor(w0.copy(), requires_grad=True)
+        first, second = losses(x, w)
+        backward(first)
+        backward(second)
+        xr, wr = Tensor(x0.copy(), requires_grad=True), Tensor(w0.copy(), requires_grad=True)
+        first, second = losses(xr, wr)
+        backward(first + second)
+        np.testing.assert_allclose(x.grad, xr.grad, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(w.grad, wr.grad, rtol=1e-12, atol=1e-12)
+
+    def test_walk_stops_at_boundary(self):
+        # the walk lists a stop node once and not its inputs; the pull returns
+        # the cotangents of the stop node and of the tracked leaves
+        x = Tensor(np.array([0.3, -1.2]), requires_grad=True)
+        v = Tensor(np.array([1.0, 4.0]), requires_grad=True)
+        c = Tensor(np.array([2.0, 5.0]))
+        u = T.exp(x)
+        y = T.tsum(u * u * c + v)
+        order = T._reach(y, (id(u),))
+        assert [n for n in order if n is u] == [u]
+        assert not any(n is x for n in order)
+        edge = T._pull(order, y, np.ones(()), (id(u),))
+        assert set(edge) == {id(u), id(v)}
+        np.testing.assert_allclose(edge[id(u)], 2.0 * u.values * c.values, rtol=1e-12)
+        np.testing.assert_allclose(edge[id(v)], np.ones(2), rtol=1e-12)
+        full = T._pull(T._reach(y), y, np.ones(()))
+        assert set(full) == {id(x), id(v)}
+        np.testing.assert_allclose(full[id(x)], 2.0 * u.values ** 2 * c.values,
+                                   rtol=1e-12)
 
     def test_deep_chain_no_recursion_limit(self):
         x = Tensor(0.5, requires_grad=True)
