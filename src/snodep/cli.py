@@ -16,13 +16,12 @@ import sys
 import numpy as np
 
 from . import data as dp
-from .config import load_config, resolve_heads
+from .config import load_config, model_config, scfea_config, train_config
 from .data import ValidationError
-from .models import ModelConfig, ProcessModel
-from .ode import SolverConfig
-from .scfea import ScfeaConfig, estimate_flux_balance
+from .models import ProcessModel
+from .scfea import estimate_flux_balance
 from .tensor import NumericsError, restore_checkpoint, save_checkpoint
-from .training import TrainConfig, context_sweep, evaluate, train
+from .training import context_sweep, evaluate, train
 
 
 def _ensure_dir(path):
@@ -37,36 +36,22 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _load_dataset(path, cfg):
-    kind = cfg["data"]["kind"]
-    return dp.load_timeseries_csv(path, kind, normalized=cfg["data"]["normalized"])
+def _flags(section, **flags):
+    """Overrides of ``section`` by the flags given on the command line."""
+    return {section: {key: value for key, value in flags.items() if value is not None}}
 
 
-def _model_config(cfg, d_y):
-    head, family = resolve_heads(cfg)
-    m = cfg["model"]
-    return ModelConfig(
-        kind=m["kind"], d_y=d_y, head=head, latent_family=family,
-        d_r=m["d_r"], d_z=m["d_z"], d_d=m["d_d"], hidden=m["hidden"],
-        solver=SolverConfig(cfg["solver"]["method"], cfg["solver"]["steps_per_unit"]),
-        encode_time=m["encode_time"],
-    )
+def _open_run(args):
+    """Config (flags, then ``--config``, then defaults), output dir and dataset."""
+    cfg = load_config(args.config, _flags("train", seed=args.seed))
+    return cfg, _ensure_dir(args.out), dp.load_timeseries_csv(args.data, **cfg["data"])
 
 
-def _train_config(cfg, seed=None):
-    t = cfg["train"]
-    return TrainConfig(
-        steps=t["steps"], batch_size=t["batch_size"], lr=t["lr"],
-        seed=t["seed"] if seed is None else seed,
-        context_len=t["context_len"], target_len=t["target_len"],
-        frequency=t["frequency"], kl_weight=t["kl_weight"],
-    )
-
-
-def _scfea_config(cfg):
-    s = cfg["scfea"]
-    return ScfeaConfig(steps=s["steps"], lr=s["lr"], hidden=s["hidden"],
-                       lambda_nt=s["lambda_nt"], seed=s["seed"])
+def _evaluate(model, ds, train_cfg, cfg):
+    """Test-MSE report on the ``eval`` section, contexts drawn with seed + 1."""
+    return evaluate(model, ds, train_cfg.context_len, train_cfg.target_len,
+                    np.random.default_rng(train_cfg.seed + 1),
+                    cfg["eval"]["contexts"], cfg["eval"]["frequency"])
 
 
 def _write_metrics(path, report):
@@ -82,8 +67,9 @@ def _write_metrics(path, report):
 
 def cmd_generate(args):
     out = _ensure_dir(args.out)
+    seed = args.seed or 0
     ds, truth = dp.generate_synthetic(args.kind, args.features, args.timesteps,
-                                      args.cells, args.seed)
+                                      args.cells, seed)
     dp.save_timeseries_csv(os.path.join(out, "dataset.csv"), ds)
     if args.kind == "poisson":
         header = ["time"] + [f"lambda_{n}" for n in ds.feature_names]
@@ -97,7 +83,7 @@ def cmd_generate(args):
     with open(os.path.join(out, "spec.json"), "w") as fh:
         json.dump({"kind": args.kind, "features": args.features,
                    "timesteps": args.timesteps, "cells": args.cells,
-                   "seed": args.seed}, fh, indent=2)
+                   "seed": seed}, fh, indent=2)
     if not args.quiet:
         print(f"wrote synthetic {args.kind} dataset to {out}")
     return 0
@@ -119,7 +105,7 @@ def cmd_estimate_flux(args):
     out = _ensure_dir(args.out)
     ds = dp.load_timeseries_csv(args.data, "expression")
     pathway = dp.load_pathway_json(args.pathway)
-    flux_ds, balance_ds = estimate_flux_balance(ds, pathway, _scfea_config(cfg))
+    flux_ds, balance_ds = estimate_flux_balance(ds, pathway, scfea_config(cfg))
     dp.save_timeseries_csv(os.path.join(out, "flux.csv"), flux_ds)
     dp.save_timeseries_csv(os.path.join(out, "balance.csv"), balance_ds)
     if not args.quiet:
@@ -128,15 +114,15 @@ def cmd_estimate_flux(args):
 
 
 def cmd_knockout(args):
-    cfg = load_config(args.config)
+    cfg = load_config(args.config, _flags("knockout", k=args.k, subsets=args.subsets,
+                                          seed=args.seed))
     out = _ensure_dir(args.out)
     ds = dp.load_timeseries_csv(args.data, "expression")
     pathway = dp.load_pathway_json(args.pathway)
-    scfea_cfg = _scfea_config(cfg)
+    scfea_cfg = scfea_config(cfg)
+    ko_cfg = cfg["knockout"]
     ko = dp.knockout_generate(
-        ds, pathway, k=args.k if args.k is not None else cfg["knockout"]["k"],
-        n_subsets=args.subsets if args.subsets is not None else cfg["knockout"]["subsets"],
-        seed=args.seed if args.seed is not None else cfg["knockout"]["seed"],
+        ds, pathway, ko_cfg["k"], ko_cfg["subsets"], ko_cfg["seed"],
         estimator=lambda d: estimate_flux_balance(d, pathway, scfea_cfg))
     for i, conf in enumerate(ko.configurations):
         conf_dir = _ensure_dir(os.path.join(out, f"config_{i:02d}"))
@@ -152,44 +138,33 @@ def cmd_knockout(args):
 
 
 def cmd_train(args):
-    cfg = load_config(args.config)
-    out = _ensure_dir(args.out)
-    ds = _load_dataset(args.data, cfg)
-    model_cfg = _model_config(cfg, ds.d_y)
-    train_cfg = _train_config(cfg, args.seed)
-    model = ProcessModel(model_cfg, seed=train_cfg.seed)
-    quiet = args.quiet
+    cfg, out, ds = _open_run(args)
+    train_cfg = train_config(cfg)
+    model = ProcessModel(model_config(cfg, ds.d_y), seed=train_cfg.seed)
 
     def progress(step, loss, parts):
-        if not quiet and (step % 500 == 0 or step == train_cfg.steps - 1):
+        if not args.quiet and (step % 500 == 0 or step == train_cfg.steps - 1):
             print(f"step {step}: loss {loss:.4f} (kl {parts['kl']:.4f})")
 
     history = train(model, ds, train_cfg, callback=progress)
     save_checkpoint(os.path.join(out, "checkpoint.npz"), model.parameters())
     _write_csv(os.path.join(out, "loss.csv"), ["step", "loss"],
                list(enumerate(history)))
-    report = evaluate(model, ds, train_cfg.context_len, train_cfg.target_len,
-                      np.random.default_rng(train_cfg.seed + 1),
-                      cfg["eval"]["contexts"], cfg["eval"]["frequency"])
+    report = _evaluate(model, ds, train_cfg, cfg)
     _write_metrics(os.path.join(out, "metrics.csv"), report)
     with open(os.path.join(out, "config.json"), "w") as fh:
         json.dump(cfg, fh, indent=2)
-    if not quiet:
+    if not args.quiet:
         print(f"unseen-timestep test-MSE: {report.unseen_mse:.6f}")
     return 0
 
 
 def cmd_evaluate(args):
-    cfg = load_config(args.config)
-    out = _ensure_dir(args.out)
-    ds = _load_dataset(args.data, cfg)
-    model_cfg = _model_config(cfg, ds.d_y)
-    train_cfg = _train_config(cfg, args.seed)
-    model = ProcessModel(model_cfg, seed=train_cfg.seed)
+    cfg, out, ds = _open_run(args)
+    train_cfg = train_config(cfg)
+    model = ProcessModel(model_config(cfg, ds.d_y), seed=train_cfg.seed)
     restore_checkpoint(model.parameters(), args.checkpoint)
-    report = evaluate(model, ds, train_cfg.context_len, train_cfg.target_len,
-                      np.random.default_rng(train_cfg.seed + 1),
-                      cfg["eval"]["contexts"], cfg["eval"]["frequency"])
+    report = _evaluate(model, ds, train_cfg, cfg)
     _write_metrics(os.path.join(out, "metrics.csv"), report)
     if not args.quiet:
         print(f"unseen-timestep test-MSE: {report.unseen_mse:.6f}")
@@ -197,27 +172,20 @@ def cmd_evaluate(args):
 
 
 def _compare_cell(cfg, ds, kind, seed):
-    model_cfg = _model_config({**cfg, "model": {**cfg["model"], "kind": kind}}, ds.d_y)
-    train_cfg = _train_config(cfg, seed)
-    model = ProcessModel(model_cfg, seed=seed)
+    cfg = {**cfg, "model": {**cfg["model"], "kind": kind},
+           "train": {**cfg["train"], "seed": seed}}
+    train_cfg = train_config(cfg)
+    model = ProcessModel(model_config(cfg, ds.d_y), seed=seed)
     train(model, ds, train_cfg)
-    report = evaluate(ds=ds, model=model, context_len=train_cfg.context_len,
-                      target_len=train_cfg.target_len,
-                      rng=np.random.default_rng(seed + 1),
-                      n_contexts=cfg["eval"]["contexts"],
-                      frequency=cfg["eval"]["frequency"])
-    return report.unseen_mse
+    return _evaluate(model, ds, train_cfg, cfg).unseen_mse
 
 
 def cmd_compare(args):
-    cfg = load_config(args.config)
-    out = _ensure_dir(args.out)
-    ds = _load_dataset(args.data, cfg)
+    cfg, out, ds = _open_run(args)
     kinds = [k.strip() for k in args.models.split(",") if k.strip()]
     if not kinds:
         raise ValidationError("compare needs at least one model kind")
-    base_seed = args.seed if args.seed is not None else cfg["train"]["seed"]
-    seeds = [base_seed + i for i in range(args.seeds)]
+    seeds = [cfg["train"]["seed"] + i for i in range(args.seeds)]
     cells = [(kind, seed) for kind in kinds for seed in seeds]
     results = [_compare_cell(cfg, ds, k, s) for k, s in cells]
     mse = {}
@@ -239,14 +207,10 @@ def cmd_compare(args):
 
 
 def cmd_sweep_context(args):
-    cfg = load_config(args.config)
-    out = _ensure_dir(args.out)
-    ds = _load_dataset(args.data, cfg)
+    cfg, out, ds = _open_run(args)
     contexts = [int(c) for c in args.contexts.split(",") if c.strip()]
-    model_cfg = _model_config(cfg, ds.d_y)
-    train_cfg = _train_config(cfg, args.seed)
-    rows = context_sweep(ds, contexts, model_cfg, train_cfg,
-                         n_contexts=cfg["eval"]["contexts"])
+    rows = context_sweep(ds, contexts, model_config(cfg, ds.d_y), train_config(cfg),
+                         cfg["eval"]["contexts"], cfg["eval"]["frequency"])
     _write_csv(os.path.join(out, "sweep.csv"), ["context_len", "test_mse"], rows)
     if not args.quiet:
         for c_len, value in rows:
@@ -273,7 +237,8 @@ def build_parser():
     p.add_argument("--cells", type=int, default=200)
     p.add_argument("--timesteps", type=int, default=16)
     p.add_argument("--features", type=int, default=5)
-    p.set_defaults(func=cmd_generate, seed=0)
+    # seed=0 here would set the default of the --seed action every command shares
+    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("preprocess", parents=[common],
                        help="log-normalize and scale expression counts")

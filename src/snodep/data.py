@@ -201,7 +201,16 @@ def _load_expression_matrix(path, header, reader, day_labels):
             r = csv.reader(fh)
             next(r, None)
             for row in r:
-                labels[row[0]] = float(row[1])
+                if not row:
+                    continue
+                try:
+                    day = float(row[1])
+                except (IndexError, ValueError):
+                    day = math.nan
+                if not math.isfinite(day):
+                    raise ValidationError(
+                        f"{day_labels}: missing or non-finite day at row {r.line_num}")
+                labels[row[0]] = day
         day_labels = labels
     cells = header[1:]
     missing = [c for c in cells if c not in day_labels]

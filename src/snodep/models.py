@@ -45,6 +45,9 @@ class ModelConfig:
             raise ValueError(f"unknown head {self.head!r}")
         if self.latent_family not in ("normal", "lognormal"):
             raise ValueError(f"unknown latent family {self.latent_family!r}")
+        for name in ("d_y", "d_r", "d_z", "d_d", "hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 class ProcessModel:

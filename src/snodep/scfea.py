@@ -35,6 +35,10 @@ class ScfeaConfig:
     lambda_nt: float = 0.1
     seed: int = 0
 
+    def __post_init__(self):
+        if self.hidden < 1:
+            raise ValidationError(f"hidden must be >= 1, got {self.hidden}")
+
 
 @dataclass
 class HopNeighborhood:

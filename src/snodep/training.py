@@ -52,6 +52,8 @@ class TrainConfig:
     kl_weight: float = 1.0
 
     def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 < self.frequency <= 1.0:
             raise ValidationError("frequency must lie in (0, 1]")
         if self.frequency * self.context_len < 2:
@@ -200,6 +202,8 @@ def predict_average_params(model, ds, context_len, rng, n_contexts=8,
                            frequency=1.0):
     """Predicted output parameters per dataset timestep, averaged over
     ``n_contexts`` sampled evaluation contexts."""
+    if n_contexts < 1:
+        raise ValidationError(f"n_contexts must be >= 1, got {n_contexts}")
     values = np.empty((n_contexts, context_len, ds.d_y))
     for t in range(context_len):
         mat = ds.samples[t]
@@ -225,8 +229,9 @@ def evaluate(model, ds, context_len, target_len, rng, n_contexts=8,
 
 
 def context_sweep(ds, context_lengths, model_cfg: ModelConfig,
-                  train_cfg: TrainConfig, n_contexts=8):
-    """Train one model per context length C with target length C + C//2.
+                  train_cfg: TrainConfig, n_contexts=8, frequency=1.0):
+    """Train one model per context length C with target length C + C//2 and
+    evaluate it on ``n_contexts`` contexts at ``frequency``.
 
     Returns rows of ``(C, unseen_mse)``.
     """
@@ -241,6 +246,6 @@ def context_sweep(ds, context_lengths, model_cfg: ModelConfig,
         train(model, ds, cfg)
         report = evaluate(model, ds, c_len, t_len,
                           np.random.default_rng(cfg.seed + 1), n_contexts,
-                          cfg.frequency)
+                          frequency)
         rows.append((c_len, report.unseen_mse))
     return rows

@@ -85,6 +85,19 @@ class TestTrainEvaluate:
         # same seed and checkpoint reproduce the training-time evaluation
         assert (ev / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
 
+    def test_seed_flag_recorded_in_config(self, tmp_path, dataset, cfg_path):
+        out = tmp_path / "run"
+        assert run(["train", "--data", dataset, "--config", cfg_path, "--seed", "3",
+                    "--out", out, "--quiet"]) == 0
+        saved = json.loads((out / "config.json").read_text())
+        assert saved["train"]["seed"] == 3
+        # the saved config alone reproduces the training-time evaluation
+        ev = tmp_path / "ev"
+        assert run(["evaluate", "--data", dataset, "--config", out / "config.json",
+                    "--checkpoint", out / "checkpoint.npz", "--out", ev,
+                    "--quiet"]) == 0
+        assert (ev / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
+
     def test_preprocess_then_train_gaussian(self, tmp_path, dataset, cfg_path):
         pre = tmp_path / "pre"
         assert run(["preprocess", "--data", dataset, "--config", cfg_path,
@@ -129,6 +142,24 @@ class TestSweep:
         assert [r[0] for r in rows[1:]] == ["2", "3"]
 
 
+    def test_matches_train_at_eval_frequency(self, tmp_path, dataset):
+        # training drops half the points; evaluation sees them all
+        cfg = {**SMALL_CFG, "model": {**SMALL_CFG["model"], "kind": "nodep"},
+               "train": {**SMALL_CFG["train"], "context_len": 4, "target_len": 6,
+                         "frequency": 0.5},
+               "eval": {"contexts": 3, "frequency": 1.0}}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert run(["sweep-context", "--data", dataset, "--config", p,
+                    "--contexts", "4", "--out", tmp_path / "sw", "--quiet"]) == 0
+        assert run(["train", "--data", dataset, "--config", p,
+                    "--out", tmp_path / "run", "--quiet"]) == 0
+        swept = float(read_csv(tmp_path / "sw" / "sweep.csv")[1][1])
+        unseen = [float(r[1]) for r in read_csv(tmp_path / "run" / "metrics.csv")[1:]
+                  if r[2] == "1"]
+        assert swept == pytest.approx(np.mean(unseen), rel=1e-12)
+
+
 class TestFluxCommands:
     @pytest.fixture
     def pathway(self, tmp_path):
@@ -168,6 +199,20 @@ class TestFluxCommands:
         assert flux[0] == ["time", "sample_id", "M1", "M2",
                            "ko_f0", "ko_f1", "ko_f2"]
 
+    def test_config_seed_matches_flag(self, tmp_path, dataset, pathway):
+        # knockout.seed in the config file counts when --seed is not given
+        metas = []
+        for name, seed_cfg, flags in (("flag", {}, ["--seed", "4"]),
+                                      ("file", {"seed": 4}, [])):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"scfea": {"steps": 1},
+                                       "knockout": {"k": 3, "subsets": 3, **seed_cfg}}))
+            out = tmp_path / name
+            assert run(["knockout", "--data", dataset, "--pathway", pathway,
+                        "--config", cfg, *flags, "--out", out, "--quiet"]) == 0
+            metas.append([p.read_text() for p in sorted(out.glob("config_*/meta.json"))])
+        assert metas[0] == metas[1]
+
     @pytest.mark.parametrize("flag", ["--k", "--subsets"])
     def test_knockout_zero_count_rejected(self, tmp_path, dataset, pathway, flag):
         # an explicit 0 is not "unset": the configured 3 must not stand in for it
@@ -196,6 +241,24 @@ class TestExitCodes:
         p.write_text("{not json")
         assert run(["train", "--data", dataset, "--config", p,
                     "--out", tmp_path / "o"]) == 2
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("train", "steps", "5", "config key 'train.steps' must be int"),
+        ("data", "normalized", "no", "config key 'data.normalized' must be bool"),
+        ("train", "batch_size", 0, "section 'train': batch_size must be >= 1"),
+        ("model", "d_z", 0, "section 'model': d_z must be >= 1"),
+        ("model", "hidden", 0, "section 'model': hidden must be >= 1"),
+        ("eval", "contexts", 0, "eval.contexts must be >= 1"),
+    ])
+    def test_bad_value_names_key(self, tmp_path, dataset, capsys, section, key,
+                                 value, message):
+        cfg = {**SMALL_CFG, section: {**SMALL_CFG.get(section, {}), key: value}}
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(cfg))
+        assert run(["train", "--data", dataset, "--config", p,
+                    "--out", tmp_path / "o", "--quiet"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o" / "checkpoint.npz").exists()
 
     def test_numerics_failure(self, tmp_path, dataset, cfg_path, monkeypatch):
         def explode(*args, **kwargs):

@@ -308,6 +308,21 @@ class TestExpressionLoaders:
         np.testing.assert_array_equal(ds.samples[0], [[1.0, 2.0], [0.0, 4.0]])
         np.testing.assert_array_equal(ds.samples[1], [[3.0], [1.0]])
 
+    @pytest.mark.parametrize("rows, line", [
+        ("c1\nc2,0\n", 2),        # no day column
+        ("c1,0\n\nc2,x\n", 4),    # non-numeric day, after a blank line
+        ("c1,0\nc2,nan\n", 3),
+        ("c1,inf\nc2,0\n", 2),
+    ], ids=["missing", "non_numeric", "nan", "inf"])
+    def test_matrix_sidecar_rejects_bad_days(self, tmp_path, rows, line):
+        p = tmp_path / "mat.csv"
+        p.write_text("gene,c1,c2\ng0,1,2\n")
+        side = tmp_path / "days.csv"
+        side.write_text("cell_id,day\n" + rows)
+        with pytest.raises(ValidationError,
+                           match=f"days.csv: missing or non-finite day at row {line}$"):
+            load_expression_csv(p, day_labels=str(side))
+
     def test_matrix_requires_sidecar_and_labels(self, tmp_path):
         p = tmp_path / "mat.csv"
         p.write_text("gene,c1\ng0,1\n")

@@ -23,6 +23,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ModelConfig("np", d_y=2, latent_family="gamma")
 
+    @pytest.mark.parametrize("size", ["d_y", "d_r", "d_z", "d_d", "hidden"])
+    def test_sizes_must_be_positive(self, size):
+        with pytest.raises(ValueError, match=f"{size} must be >= 1, got 0"):
+            tiny_cfg("snodep", **{size: 0})
+
     def test_encoder_assignment(self):
         assert ENCODER_FOR_KIND == {"np": "mean", "nodep": "mean",
                                     "snodep": "lstm", "snodep_gruode": "gruode"}

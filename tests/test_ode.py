@@ -92,6 +92,7 @@ class TestPath:
 
 
 class TestErrors:
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
     def test_nonfinite_state_reports_step(self):
         def blowup(t, y, ctx):
             return y * 1e200
@@ -320,6 +321,7 @@ class TestSolverNode:
         out = integrate(f, Tensor(np.ones((1, 2))), 0.0, 1.0, None, SolverConfig("euler", 2))
         assert not out.requires_grad and out._parents == ()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
     def test_nonfinite_names_step_interval_and_time(self):
         def late_blowup(t, y, ctx):
             return y * (1e200 if t >= 1.0 else 0.0)

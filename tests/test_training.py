@@ -62,6 +62,12 @@ class TestBatches:
             TrainConfig(frequency=0.1, context_len=8)
 
 
+    def test_train_config_batch_size(self):
+        with pytest.raises(ValidationError, match="batch_size must be >= 1, got 0"):
+            TrainConfig(batch_size=0)
+        assert TrainConfig(steps=1, batch_size=1).steps == 1
+
+
 class TestPresenceMask:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 8), st.integers(3, 12), st.floats(0.3, 1.0))
@@ -238,6 +244,12 @@ class TestEvaluate:
         np.testing.assert_array_equal(report.unseen_indices, [5, 6, 7])
         assert report.unseen_mse == pytest.approx(report.per_timestep[5:].mean())
         assert report.all_mse == pytest.approx(report.per_timestep.mean())
+
+    def test_needs_a_context(self):
+        ds, _ = generate_synthetic("gaussian", 2, 6, 10, seed=0)
+        model = ProcessModel(small_cfg("np"), seed=0)
+        with pytest.raises(ValidationError, match="n_contexts must be >= 1, got 0"):
+            evaluate(model, ds, 3, 4, np.random.default_rng(0), n_contexts=0)
 
     def test_context_sweep_checks_horizon(self):
         ds, _ = generate_synthetic("gaussian", 2, 6, 10, seed=0)
