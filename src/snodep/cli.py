@@ -67,9 +67,8 @@ def _write_metrics(path, report):
 
 def cmd_generate(args):
     out = _ensure_dir(args.out)
-    seed = args.seed or 0
     ds, truth = dp.generate_synthetic(args.kind, args.features, args.timesteps,
-                                      args.cells, seed)
+                                      args.cells, args.seed)
     dp.save_timeseries_csv(os.path.join(out, "dataset.csv"), ds)
     if args.kind == "poisson":
         header = ["time"] + [f"lambda_{n}" for n in ds.feature_names]
@@ -83,7 +82,7 @@ def cmd_generate(args):
     with open(os.path.join(out, "spec.json"), "w") as fh:
         json.dump({"kind": args.kind, "features": args.features,
                    "timesteps": args.timesteps, "cells": args.cells,
-                   "seed": seed}, fh, indent=2)
+                   "seed": args.seed}, fh, indent=2)
     if not args.quiet:
         print(f"wrote synthetic {args.kind} dataset to {out}")
     return 0
@@ -101,7 +100,7 @@ def cmd_preprocess(args):
 
 
 def cmd_estimate_flux(args):
-    cfg = load_config(args.config)
+    cfg = load_config(args.config, _flags("scfea", seed=args.seed))
     out = _ensure_dir(args.out)
     ds = dp.load_timeseries_csv(args.data, "expression")
     pathway = dp.load_pathway_json(args.pathway)
@@ -224,10 +223,11 @@ def build_parser():
         description="Structured neural ODE processes for time-varying "
                     "distributions of gene expression, flux, and balance data.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
     common.add_argument("--config", default=None, help="JSON run configuration")
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--quiet", action="store_true")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -237,7 +237,7 @@ def build_parser():
     p.add_argument("--cells", type=int, default=200)
     p.add_argument("--timesteps", type=int, default=16)
     p.add_argument("--features", type=int, default=5)
-    # seed=0 here would set the default of the --seed action every command shares
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("preprocess", parents=[common],
@@ -245,13 +245,13 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("estimate-flux", parents=[common],
+    p = sub.add_parser("estimate-flux", parents=[seeded],
                        help="scFEA-lite flux and balance estimation")
     p.add_argument("--data", required=True)
     p.add_argument("--pathway", required=True)
     p.set_defaults(func=cmd_estimate_flux)
 
-    p = sub.add_parser("knockout", parents=[common],
+    p = sub.add_parser("knockout", parents=[seeded],
                        help="gene-knockout flux/balance dataset builder")
     p.add_argument("--data", required=True)
     p.add_argument("--pathway", required=True)
@@ -259,24 +259,24 @@ def build_parser():
     p.add_argument("--subsets", type=int, default=None)
     p.set_defaults(func=cmd_knockout)
 
-    p = sub.add_parser("train", parents=[common], help="train one model")
+    p = sub.add_parser("train", parents=[seeded], help="train one model")
     p.add_argument("--data", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", parents=[common],
+    p = sub.add_parser("evaluate", parents=[seeded],
                        help="evaluate a checkpoint")
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("compare", parents=[common],
+    p = sub.add_parser("compare", parents=[seeded],
                        help="model comparison over seeds")
     p.add_argument("--data", required=True)
     p.add_argument("--models", default="np,nodep,snodep")
     p.add_argument("--seeds", type=int, default=1)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("sweep-context", parents=[common],
+    p = sub.add_parser("sweep-context", parents=[seeded],
                        help="test-MSE versus context length")
     p.add_argument("--data", required=True)
     p.add_argument("--contexts", default="2,4,6,8")

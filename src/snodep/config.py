@@ -30,7 +30,7 @@ DEFAULTS = {
         "kind": "snodep",          # np | nodep | snodep | snodep_gruode
         "head": None,              # poisson | gaussian; derived from data.kind
         "latent_family": None,     # lognormal | normal; derived from data.kind
-        **_defaults(ModelConfig, ("d_r", "d_z", "d_d", "hidden", "encode_time")),
+        **_defaults(ModelConfig, ("d_r", "d_z", "d_d", "hidden")),
     },
     "solver": _defaults(SolverConfig),
     "train": _defaults(TrainConfig),
@@ -82,6 +82,10 @@ def _validate(cfg):
         raise ValidationError("eval.contexts must be >= 1")
     if not 0.0 < cfg["eval"]["frequency"] <= 1.0:
         raise ValidationError("eval.frequency must lie in (0, 1]")
+    if cfg["knockout"]["k"] < 1:
+        raise ValidationError("knockout.k must be >= 1")
+    if cfg["knockout"]["subsets"] < 2:
+        raise ValidationError("knockout.subsets must be >= 2, for a train/test split")
     model_config(cfg, d_y=1)    # d_y comes from the data
     train_config(cfg)
     scfea_config(cfg)

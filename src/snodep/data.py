@@ -104,11 +104,17 @@ def load_timeseries_csv(path, kind, normalized=False, knockout=False):
             raise _bad_row_error(path, len(header), str(exc)) from None
     if rows.shape[1] != len(header) or not np.isfinite(rows[:, 0]).all():
         raise _bad_row_error(path, len(header), "malformed data rows")
-    order = np.argsort(rows[:, 0], kind="stable")
-    times, starts = np.unique(rows[order, 0], return_index=True)
-    samples = [rows[idx, 2:].T for idx in np.split(order, starts[1:])]
+    times, groups = _group_by_time(rows[:, 0])
+    samples = [rows[idx, 2:].T for idx in groups]
     return TimeSeriesDataset(kind, times, samples, header[2:],
                              normalized=normalized, knockout=knockout)
+
+
+def _group_by_time(times):
+    """Ascending distinct ``times`` and, for each, its positions in order."""
+    order = np.argsort(times, kind="stable")
+    distinct, starts = np.unique(times[order], return_index=True)
+    return distinct, np.split(order, starts[1:])
 
 
 def _bad_row_error(path, width, reason):
@@ -184,8 +190,6 @@ def _load_expression_tidy(path, reader):
     samples = []
     for day in days:
         cells = by_day[day]
-        if not cells:
-            raise ValidationError(f"{path}: day {day} has no cells")
         mat = np.zeros((len(gene_row), len(cells)))
         for j, c in enumerate(sorted(cells)):
             entries = cells[c]
@@ -233,16 +237,11 @@ def _load_expression_matrix(path, header, reader, day_labels):
                 f"{path}: negative, non-integer or non-finite count at row {lineno}")
         rows.append(vals)
     mat = np.array(rows, dtype=np.float64)
-    days = sorted(set(day_labels[c] for c in cells))
-    labelled_days = sorted(set(day_labels.values()))
-    empty = [d for d in labelled_days if d not in days]
+    days, groups = _group_by_time(np.array([day_labels[c] for c in cells]))
+    empty = sorted(set(day_labels.values()) - set(days.tolist()))
     if empty:
         raise ValidationError(f"{path}: labelled day {empty[0]} has no cells")
-    samples = []
-    for day in days:
-        idx = [j for j, c in enumerate(cells) if day_labels[c] == day]
-        samples.append(mat[:, idx])
-    return TimeSeriesDataset("expression", np.array(days), samples, genes)
+    return TimeSeriesDataset("expression", days, [mat[:, idx] for idx in groups], genes)
 
 
 def log_normalize_scale(ds: TimeSeriesDataset, fit_timesteps=None):

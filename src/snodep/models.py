@@ -36,7 +36,6 @@ class ModelConfig:
     d_d: int = 32
     hidden: int = 64
     solver: SolverConfig = dc_field(default_factory=SolverConfig)
-    encode_time: bool = False  # append t to recurrent encoder inputs
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -55,7 +54,6 @@ class ProcessModel:
         self.cfg = cfg
         self.encoder_kind = ENCODER_FOR_KIND[cfg.kind]
         rng = np.random.default_rng(seed)
-        d_in = cfg.d_y + (1 if cfg.encode_time else 0)
 
         self.enc_mlp = None
         self.lstm = None
@@ -64,9 +62,9 @@ class ProcessModel:
         if self.encoder_kind == "mean":
             self.enc_mlp = nn.init_mlp(rng, [1 + cfg.d_y, cfg.hidden, cfg.d_r])
         elif self.encoder_kind == "lstm":
-            self.lstm = nn.init_lstm(rng, d_in, cfg.d_r)
+            self.lstm = nn.init_lstm(rng, cfg.d_y, cfg.d_r)
         else:
-            self.gru = nn.init_gru(rng, d_in, cfg.d_r)
+            self.gru = nn.init_gru(rng, cfg.d_y, cfg.d_r)
             self.g_mlp = nn.init_mlp(rng, [cfg.d_r, cfg.hidden, cfg.d_r])
 
         self.heads = encoders.init_latent_heads(rng, cfg.d_r, cfg.d_z, cfg.d_d)
@@ -110,10 +108,6 @@ class ProcessModel:
                 f"context mask shape {mask.shape} does not match values {values.shape}")
         if np.any(np.diff(times) <= 0):
             raise ValueError("context times must be strictly ascending")
-        if self.cfg.encode_time and self.encoder_kind != "mean":
-            t_feat = np.broadcast_to(times[None, :, None],
-                                     values.shape[:2] + (1,))
-            values = np.concatenate([values, t_feat], axis=2)
         if self.encoder_kind == "mean":
             r = encoders.np_encode_batch(times, values, mask, self.enc_mlp)
         elif self.encoder_kind == "lstm":

@@ -9,15 +9,17 @@ all-zero flux.
 The objective is linear algebra. With ``S`` the (metabolites x modules)
 stoichiometric matrix and ``F`` the (modules x cells) fluxes, the imbalance is
 ``S @ F``. The hop-2 term adds a metabolite's squared imbalance once more for
-every neighbourhood it lies in, so it folds into one weight ``c_n`` per
-metabolite, and the loss is ``sum_n c_n ||(S F)_n||^2 + lambda ||F - a||^2``
-with ``a`` the module activities. The module networks are stacked into
-batched weights, and the loss is one tape node.
+every neighbourhood it lies in, so it folds into one weight per metabolite:
+``c_n`` is 1 plus the number of metabolites sharing a module with n, read from
+the 0/1 incidence matrix ``T``. The loss is
+``sum_n c_n ||(S F)_n||^2 + lambda ||F - a||^2`` with ``a`` the module
+activities. The module networks are stacked into batched weights, and the
+loss is one tape node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,55 +38,43 @@ class ScfeaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.steps < 0:
+            raise ValidationError(f"steps must be >= 0, got {self.steps}")
+        if not self.lr > 0:
+            raise ValidationError(f"lr must be > 0, got {self.lr}")
         if self.hidden < 1:
             raise ValidationError(f"hidden must be >= 1, got {self.hidden}")
+        if not self.lambda_nt >= 0:
+            raise ValidationError(f"lambda_nt must be >= 0, got {self.lambda_nt}")
 
 
-@dataclass
-class HopNeighborhood:
-    neighbors: dict                      # metabolite name -> list of metabolite names
-    weights: dict = field(default_factory=dict)  # neighbor name -> weight (default 1)
-
-
-def hop2_neighbors(pathway: PathwayDef):
-    """Metabolites sharing an adjacent module in the bipartite factor graph."""
-    position = {m.name: i for i, m in enumerate(pathway.metabolites)}
-    module_mets = {}
-    for met in pathway.metabolites:
-        for mod in list(met.in_modules) + list(met.out_modules):
-            module_mets.setdefault(mod, set()).add(met.name)
-    neighbors = {}
-    for met in pathway.metabolites:
-        hood = set()
-        for mod in list(met.in_modules) + list(met.out_modules):
-            hood |= module_mets.get(mod, set())
-        hood.discard(met.name)
-        neighbors[met.name] = sorted(hood, key=position.__getitem__)
-    return HopNeighborhood(neighbors)
-
-
-def stoichiometric_matrix(pathway: PathwayDef):
-    """(v, u) matrix: +1 per listing of a module as a metabolite's producer,
-    -1 per listing as its consumer."""
+def pathway_matrices(pathway: PathwayDef):
+    """(v, u) stoichiometric matrix ``S``, +1 per producer and -1 per consumer
+    listing, and incidence ``T``, True wherever a module is listed: a module
+    that feeds and drains a metabolite cancels in ``S`` but touches it in ``T``."""
     col = {m.name: j for j, m in enumerate(pathway.modules)}
     s = np.zeros((pathway.n_metabolites, pathway.n_modules))
+    touch = np.zeros(s.shape, dtype=bool)
     for k, met in enumerate(pathway.metabolites):
-        for mod in met.in_modules:
-            s[k, col[mod]] += 1.0
-        for mod in met.out_modules:
-            s[k, col[mod]] -= 1.0
-    return s
+        for mods, sign in ((met.in_modules, 1.0), (met.out_modules, -1.0)):
+            for mod in mods:
+                s[k, col[mod]] += sign
+                touch[k, col[mod]] = True
+    return s, touch
 
 
-def hop2_weights(pathway: PathwayDef, hood: HopNeighborhood):
-    """(v,) weights ``c``: 1 for a metabolite's own squared imbalance, plus its
-    hop-2 weight once for every neighbourhood that lists it."""
-    row = {m.name: k for k, m in enumerate(pathway.metabolites)}
-    c = np.ones(len(row))
-    for names in hood.neighbors.values():
-        for name in names:
-            c[row[name]] += hood.weights.get(name, 1.0)
-    return c
+def hop2_share(touch):
+    """(v, v) hop-2 relation: True where two distinct metabolites share an
+    adjacent module in the bipartite factor graph."""
+    share = touch @ touch.T
+    np.fill_diagonal(share, False)
+    return share
+
+
+def hop2_weights(touch):
+    """(v,) weights ``c``: 1 for a metabolite's own squared imbalance, plus 1 for
+    every neighbourhood that lists it, which is the size of its own."""
+    return 1.0 + hop2_share(touch).sum(axis=1)
 
 
 @dataclass
@@ -159,6 +149,8 @@ class BalanceProblem:
 
 def balance_problem(nets: ModuleNets, expression, s, c, lambda_nt=0.1):
     """Gather the expression once for every step on one timestep."""
+    if not lambda_nt >= 0:
+        raise ValidationError(f"lambda_nt must be >= 0, got {lambda_nt}")
     x = nets.inputs(expression)
     activity = x.sum(axis=2) / nets.mask.sum(axis=1)[:, None]
     return BalanceProblem(x, activity, s, c, lambda_nt)
@@ -174,20 +166,16 @@ def _forward(nets: ModuleNets, x):
 
 
 def balance_loss(nets: ModuleNets, problem: BalanceProblem):
-    """``sum_n c_n ||(S F)_n||^2 + lambda_nt ||F - a||^2`` as one tape node.
-
-    The anchor term is left out when ``lambda_nt`` is not positive.
-    """
+    """``sum_n c_n ||(S F)_n||^2 + lambda_nt ||F - a||^2`` as one tape node."""
     p = problem
-    lam = p.lambda_nt if p.lambda_nt > 0 else 0.0
     hid, r, flux = _forward(nets, p.x)
     imb = p.s @ flux                      # (v, n)
     dev = flux - p.activity               # (u, n)
-    loss = p.c @ np.sum(imb * imb, axis=1) + lam * np.sum(dev * dev)
+    loss = p.c @ np.sum(imb * imb, axis=1) + p.lambda_nt * np.sum(dev * dev)
     w1 = nets.w1.values
 
     def bwd(g):
-        g_flux = 2.0 * g * (p.s.T @ (p.c[:, None] * imb) + lam * dev)
+        g_flux = 2.0 * g * (p.s.T @ (p.c[:, None] * imb) + p.lambda_nt * dev)
         g_r = (g_flux * T._expit(r))[:, :, None]            # (u, n, 1)
         # (g_r * w1) * (1 - hid^2), the order a per-module MLP uses: long
         # training runs are chaotic, so a reordered product changes their end
@@ -209,7 +197,7 @@ def flux_matrix(nets: ModuleNets, expression):
 
 def compute_balance(flux, pathway: PathwayDef):
     """(v, n_cells) balances ``S @ flux``: in-flux sum minus out-flux sum."""
-    return stoichiometric_matrix(pathway) @ np.asarray(flux, dtype=np.float64)
+    return pathway_matrices(pathway)[0] @ np.asarray(flux, dtype=np.float64)
 
 
 def estimate_flux_balance(ds: TimeSeriesDataset, pathway: PathwayDef,
@@ -222,8 +210,8 @@ def estimate_flux_balance(ds: TimeSeriesDataset, pathway: PathwayDef,
         raise ValidationError(f"dataset lacks pathway genes: {missing[:5]}")
     pathway_rows = [ds_row[g] for g in pathway.genes]
     gene_index = {g: i for i, g in enumerate(pathway.genes)}
-    s = stoichiometric_matrix(pathway)
-    c = hop2_weights(pathway, hop2_neighbors(pathway))
+    s, touch = pathway_matrices(pathway)
+    c = hop2_weights(touch)
 
     module_names = [m.name for m in pathway.modules]
     metabolite_names = [m.name for m in pathway.metabolites]

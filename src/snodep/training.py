@@ -52,8 +52,16 @@ class TrainConfig:
     kl_weight: float = 1.0
 
     def __post_init__(self):
+        if self.steps < 0:
+            raise ValidationError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.lr > 0:
+            raise ValidationError(f"lr must be > 0, got {self.lr}")
+        if not self.kl_weight >= 0:
+            raise ValidationError(f"kl_weight must be >= 0, got {self.kl_weight}")
+        if not self.context_len < self.target_len:
+            raise ValidationError("context_len must be < target_len")
         if not 0.0 < self.frequency <= 1.0:
             raise ValidationError("frequency must lie in (0, 1]")
         if self.frequency * self.context_len < 2:
@@ -73,16 +81,21 @@ def draw_presence_mask(batch_size, t_total, context_len, frequency, rng):
     return present
 
 
+def draw_cells(ds: TimeSeriesDataset, n, n_t, rng):
+    """(n, n_t, d_y): one cell drawn per trajectory and timestep, in time order."""
+    values = np.empty((n, n_t, ds.d_y))
+    for t in range(n_t):
+        mat = ds.samples[t]
+        values[:, t, :] = mat[:, rng.integers(0, mat.shape[1], size=n)].T
+    return values
+
+
 def sample_batch(ds: TimeSeriesDataset, batch_size, context_len, target_len,
                  rng, frequency=1.0):
     if target_len > ds.n_timesteps:
         raise ValidationError(
             f"target length {target_len} exceeds the {ds.n_timesteps} timesteps")
-    values = np.empty((batch_size, target_len, ds.d_y))
-    for t in range(target_len):
-        mat = ds.samples[t]
-        idx = rng.integers(0, mat.shape[1], size=batch_size)
-        values[:, t, :] = mat[:, idx].T
+    values = draw_cells(ds, batch_size, target_len, rng)
     present = draw_presence_mask(batch_size, target_len, context_len, frequency, rng)
     return TrajectoryBatch(ds.times[:target_len], values, context_len, target_len,
                            present)
@@ -204,11 +217,7 @@ def predict_average_params(model, ds, context_len, rng, n_contexts=8,
     ``n_contexts`` sampled evaluation contexts."""
     if n_contexts < 1:
         raise ValidationError(f"n_contexts must be >= 1, got {n_contexts}")
-    values = np.empty((n_contexts, context_len, ds.d_y))
-    for t in range(context_len):
-        mat = ds.samples[t]
-        idx = rng.integers(0, mat.shape[1], size=n_contexts)
-        values[:, t, :] = mat[:, idx].T
+    values = draw_cells(ds, n_contexts, context_len, rng)
     mask = draw_presence_mask(n_contexts, context_len, context_len, frequency, rng)
     dist = model.predict_batch(ds.times[:context_len], values, mask,
                                list(ds.times))

@@ -29,10 +29,10 @@ from snodep.scfea import (
     balance_problem,
     compute_balance,
     estimate_flux_balance,
-    hop2_neighbors,
+    hop2_share,
     hop2_weights,
     init_module_nets,
-    stoichiometric_matrix,
+    pathway_matrices,
 )
 from snodep.tensor import Adam, Tensor, backward
 from snodep.training import (
@@ -378,11 +378,10 @@ def test_criterion_10_scfea_lite(capsys):
     # zero-imbalance, zero-anchor-penalty solution exists
     base = np.random.default_rng(4).poisson(6.0, size=(1, 30)).astype(float)
     expression = np.repeat(base, 6, axis=0)
-    hood = hop2_neighbors(pathway)
+    s_mat, touch = pathway_matrices(pathway)
     nets = init_module_nets(pathway, {g: i for i, g in enumerate(pathway.genes)},
                             16, np.random.default_rng(0))
-    problem = balance_problem(nets, expression, stoichiometric_matrix(pathway),
-                              hop2_weights(pathway, hood), 0.1)
+    problem = balance_problem(nets, expression, s_mat, hop2_weights(touch), 0.1)
     opt = Adam(nets.tensors(), lr=0.02)
     initial = balance_loss(nets, problem).values.item()
     for _ in range(2500):
@@ -398,13 +397,14 @@ def test_criterion_10_scfea_lite(capsys):
     for _ in range(50):
         pw = _random_bipartite_pathway(hop_rng, int(hop_rng.integers(2, 7)),
                                        int(hop_rng.integers(2, 6)))
-        hood_pw = hop2_neighbors(pw)
+        share = hop2_share(pathway_matrices(pw)[1])
         adj = {m.name: set(m.in_modules) | set(m.out_modules)
                for m in pw.metabolites}
-        for a in pw.metabolites:
+        for a, row in zip(pw.metabolites, share):
             expect = {b.name for b in pw.metabolites
                       if b.name != a.name and adj[a.name] & adj[b.name]}
-            hop_ok = hop_ok and set(hood_pw.neighbors[a.name]) == expect
+            got = {b.name for b, s in zip(pw.metabolites, row) if s}
+            hop_ok = hop_ok and got == expect
 
     ok = bal_err <= 1e-12 and ratio < 1e-3 and hop_ok
     announce(capsys, 10,

@@ -213,6 +213,20 @@ class TestFluxCommands:
             metas.append([p.read_text() for p in sorted(out.glob("config_*/meta.json"))])
         assert metas[0] == metas[1]
 
+    def test_estimate_flux_seed_flag(self, tmp_path, dataset, pathway):
+        # --seed sets scfea.seed: it matches the config file's seed and moves the flux
+        flux = {}
+        for name, seed_cfg, flags in (("none", {}, []), ("flag", {}, ["--seed", "3"]),
+                                      ("file", {"seed": 3}, [])):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"scfea": {"steps": 5, **seed_cfg}}))
+            out = tmp_path / name
+            assert run(["estimate-flux", "--data", dataset, "--pathway", pathway,
+                        "--config", cfg, *flags, "--out", out, "--quiet"]) == 0
+            flux[name] = (out / "flux.csv").read_bytes()
+        assert flux["flag"] == flux["file"]
+        assert flux["flag"] != flux["none"]
+
     @pytest.mark.parametrize("flag", ["--k", "--subsets"])
     def test_knockout_zero_count_rejected(self, tmp_path, dataset, pathway, flag):
         # an explicit 0 is not "unset": the configured 3 must not stand in for it
@@ -235,6 +249,13 @@ class TestExitCodes:
         p.write_text(json.dumps({"train": {"stepz": 1}}))
         assert run(["train", "--data", dataset, "--config", p,
                     "--out", tmp_path / "o"]) == 2
+
+    def test_preprocess_takes_no_seed(self, tmp_path, dataset):
+        # preprocessing draws nothing, so a seed flag is a usage error
+        with pytest.raises(SystemExit) as exc:
+            run(["preprocess", "--data", dataset, "--seed", "7", "--out", tmp_path / "n"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "n").exists()
 
     def test_malformed_json(self, tmp_path, dataset):
         p = tmp_path / "bad.json"

@@ -9,7 +9,7 @@ from snodep.data import ValidationError
 # the default document as `snodep train` writes it, keys in this order
 DEFAULT_DOCUMENT = {
     "model": {"kind": "snodep", "head": None, "latent_family": None, "d_r": 64,
-              "d_z": 32, "d_d": 32, "hidden": 64, "encode_time": False},
+              "d_z": 32, "d_d": 32, "hidden": 64},
     "solver": {"method": "rk4", "steps_per_unit": 10},
     "train": {"steps": 5000, "batch_size": 32, "lr": 1e-3, "seed": 0,
               "context_len": 8, "target_len": 13, "frequency": 1.0, "kl_weight": 1.0},
@@ -42,6 +42,8 @@ class TestLoadConfig:
             load_config(overrides={"train": {"stepz": 1}})
         with pytest.raises(ValidationError, match="'traain'"):
             load_config(overrides={"traain": {}})
+        with pytest.raises(ValidationError, match="unknown config key 'model.encode_time'"):
+            load_config(overrides={"model": {"encode_time": False}})
 
     def test_section_must_be_object(self):
         with pytest.raises(ValidationError):
@@ -91,10 +93,29 @@ class TestLoadConfig:
         ({"solver": {"steps_per_unit": 0}}, "section 'solver': steps_per_unit must be >= 1"),
         ({"scfea": {"hidden": 0}}, "section 'scfea': hidden must be >= 1"),
         ({"eval": {"contexts": 0}}, "eval.contexts must be >= 1"),
+        ({"scfea": {"lambda_nt": -1}}, "section 'scfea': lambda_nt must be >= 0"),
+        ({"scfea": {"lr": 0}}, "section 'scfea': lr must be > 0"),
+        ({"scfea": {"lr": -0.01}}, "section 'scfea': lr must be > 0"),
+        ({"scfea": {"steps": -1}}, "section 'scfea': steps must be >= 0"),
+        ({"train": {"lr": 0.0}}, "section 'train': lr must be > 0"),
+        ({"train": {"lr": -1e-3}}, "section 'train': lr must be > 0"),
+        ({"train": {"steps": -5}}, "section 'train': steps must be >= 0"),
+        ({"train": {"kl_weight": -0.5}}, "section 'train': kl_weight must be >= 0"),
+        ({"train": {"context_len": 13}},
+         "section 'train': context_len must be < target_len"),
+        ({"train": {"context_len": 8, "target_len": 6}},
+         "section 'train': context_len must be < target_len"),
+        ({"knockout": {"k": 0}}, "knockout.k must be >= 1"),
+        ({"knockout": {"subsets": 1}}, "knockout.subsets must be >= 2"),
     ])
     def test_ranges_name_the_key(self, override, message):
         with pytest.raises(ValidationError, match=message):
             load_config(overrides=override)
+
+    def test_range_edges_accepted(self):
+        load_config(overrides={"train": {"steps": 0, "kl_weight": 0, "context_len": 12},
+                               "scfea": {"steps": 0, "lambda_nt": 0},
+                               "knockout": {"k": 1, "subsets": 2}})
 
 
 class TestResolveHeads:

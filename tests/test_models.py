@@ -62,19 +62,6 @@ class TestEncode:
         l0, d = model.encode_batch(np.arange(4.0), values, mask)
         assert l0.mu.shape == (3, 4) and d.mu.shape == (3, 3)
 
-    def test_encode_time_changes_recurrent_output(self):
-        rng = np.random.default_rng(0)
-        values = rng.normal(size=(1, 4, 2))
-        mask = np.ones((1, 4), dtype=bool)
-        plain = ProcessModel(tiny_cfg("snodep"), seed=0)
-        timed = ProcessModel(tiny_cfg("snodep", encode_time=True), seed=0)
-        l0_a, _ = plain.encode_batch(np.arange(4.0), values, mask)
-        l0_b, _ = timed.encode_batch(np.arange(4.0), values, mask)
-        assert l0_a.mu.shape == l0_b.mu.shape
-        t2 = np.array([0.0, 1.0, 2.0, 5.0])
-        l0_c, _ = timed.encode_batch(t2, values, mask)
-        assert not np.allclose(l0_b.mu.values, l0_c.mu.values)
-
 
 class TestDecode:
     def test_np_head_kinds(self):

@@ -14,10 +14,10 @@ from snodep.scfea import (
     compute_balance,
     estimate_flux_balance,
     flux_matrix,
-    hop2_neighbors,
+    hop2_share,
     hop2_weights,
     init_module_nets,
-    stoichiometric_matrix,
+    pathway_matrices,
 )
 from snodep.tensor import Adam, GradientTape, Tensor, backward
 from tests.conftest import finite_diff
@@ -50,23 +50,30 @@ def random_pathway(rng, n_mod, n_met):
                               "modules": modules, "metabolites": metabolites})
 
 
+def neighbours(pathway):
+    """Brute-force hop-2 neighbourhoods: metabolite name -> the names of the
+    other metabolites that share a producer or consumer with it."""
+    adj = {m.name: set(m.in_modules) | set(m.out_modules) for m in pathway.metabolites}
+    return {a: [b for b in adj if b != a and adj[a] & adj[b]] for a in adj}
+
+
+def named_share(pathway):
+    """:func:`hop2_share` of the pathway as metabolite name -> neighbour names."""
+    names = [m.name for m in pathway.metabolites]
+    share = hop2_share(pathway_matrices(pathway)[1])
+    return {a: [b for b, s in zip(names, row) if s] for a, row in zip(names, share)}
+
+
 class TestHop2:
     def test_chain_neighbors(self):
-        hood = hop2_neighbors(chain_pathway())
-        assert hood.neighbors == {"A": ["B"], "B": ["A"]}
+        assert named_share(chain_pathway()) == {"A": ["B"], "B": ["A"]}
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             pathway = random_pathway(rng, int(rng.integers(2, 7)),
                                      int(rng.integers(2, 6)))
-            hood = hop2_neighbors(pathway)
-            adj = {m.name: set(m.in_modules) | set(m.out_modules)
-                   for m in pathway.metabolites}
-            for a in pathway.metabolites:
-                expect = {b.name for b in pathway.metabolites
-                          if b.name != a.name and adj[a.name] & adj[b.name]}
-                assert set(hood.neighbors[a.name]) == expect
+            assert named_share(pathway) == neighbours(pathway)
 
 
 def mixed_pathway():
@@ -91,17 +98,30 @@ def gene_index(pathway):
     return {g: i for i, g in enumerate(pathway.genes)}
 
 
-def problem_for(nets, expression, pathway, hood, lambda_nt=0.1):
-    return balance_problem(nets, expression, stoichiometric_matrix(pathway),
-                           hop2_weights(pathway, hood), lambda_nt)
+def problem_for(nets, expression, pathway, lambda_nt=0.1, c=None):
+    s, touch = pathway_matrices(pathway)
+    return balance_problem(nets, expression, s, hop2_weights(touch) if c is None else c,
+                           lambda_nt)
 
 
-def composed_loss(nets, expression, pathway, hood, lambda_nt):
+def weighted_c(pathway, weights):
+    """Hop-2 weights ``c`` when metabolite n counts ``weights[n]`` (default 1)
+    in every neighbourhood that lists it."""
+    hood = neighbours(pathway)
+    c = {name: 1.0 for name in hood}
+    for names in hood.values():
+        for name in names:
+            c[name] += weights.get(name, 1.0)
+    return np.array(list(c.values()))
+
+
+def composed_loss(nets, expression, pathway, lambda_nt, weights):
     """The loss built the per-module way from tensor primitives: one MLP per
     module on its own genes, imbalances summed over each metabolite's
-    producers and consumers, every neighbour's squared imbalance added to each
-    metabolite's term, and the anchor per module. Returns the loss and the
-    per-module parameter tensors [(w0, b0, w1, b1), ...]."""
+    producers and consumers, every neighbour's squared imbalance, times its
+    weight in ``weights`` (default 1), added to each metabolite's term, and
+    the anchor per module. Returns the loss and the per-module parameter
+    tensors [(w0, b0, w1, b1), ...]."""
     expr_t = Tensor(expression.T)
     fluxes, params = {}, []
     for i, mod in enumerate(pathway.modules):
@@ -122,10 +142,11 @@ def composed_loss(nets, expression, pathway, hood, lambda_nt):
             total = term if total is None else total + term
         sq[met.name] = T.tsum(T.square(total))
     loss = None
+    hood = neighbours(pathway)
     for met in pathway.metabolites:
         term = sq[met.name]
-        for other in hood.neighbors.get(met.name, ()):
-            term = term + hood.weights.get(other, 1.0) * sq[other]
+        for other in hood[met.name]:
+            term = term + weights.get(other, 1.0) * sq[other]
         loss = term if loss is None else loss + term
     for mod in pathway.modules:
         rows = [pathway.genes.index(g) for g in mod.genes]
@@ -150,7 +171,7 @@ class TestBalance:
         flux = rng.random((3, 7))
         # stoichiometry S: +1 producer, -1 consumer
         s = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
-        np.testing.assert_array_equal(stoichiometric_matrix(pathway), s)
+        np.testing.assert_array_equal(pathway_matrices(pathway)[0], s)
         np.testing.assert_allclose(compute_balance(flux, pathway), s @ flux,
                                    atol=1e-12)
 
@@ -161,38 +182,37 @@ class TestBalance:
                                       np.zeros((2, 4)))
 
     def test_producer_and_consumer_cancel(self):
-        s = stoichiometric_matrix(mixed_pathway())
+        s, touch = pathway_matrices(mixed_pathway())
         np.testing.assert_array_equal(s, [[1, -1, 0, 0], [0, 1, 0, 0],
                                           [0, 0, 1, -1], [-1, -1, 0, 1]])
+        # M3 feeds and drains B: it cancels in S but still touches B
+        np.testing.assert_array_equal(touch, [[1, 1, 0, 0], [0, 1, 1, 0],
+                                              [0, 0, 1, 1], [1, 1, 0, 1]])
 
 
 class TestHop2Weights:
     def test_chain(self):
-        pathway = chain_pathway()
-        np.testing.assert_array_equal(
-            hop2_weights(pathway, hop2_neighbors(pathway)), [2.0, 2.0])
+        touch = pathway_matrices(chain_pathway())[1]
+        np.testing.assert_array_equal(hop2_weights(touch), [2.0, 2.0])
 
     def test_counts_every_neighbourhood_with_its_weight(self):
         pathway = mixed_pathway()
-        hood = hop2_neighbors(pathway)
-        hood.weights.update({"A": 0.5, "C": 2.0})
         listed = {m.name: 0 for m in pathway.metabolites}
-        for names in hood.neighbors.values():
+        for names in neighbours(pathway).values():
             for name in names:
                 listed[name] += 1
-        want = [1.0 + hood.weights.get(n, 1.0) * listed[n] for n in listed]
-        np.testing.assert_array_equal(hop2_weights(pathway, hood), want)
+        want = [1.0 + listed[n] for n in listed]
+        np.testing.assert_array_equal(hop2_weights(pathway_matrices(pathway)[1]), want)
 
 
 class TestBalanceLoss:
     def test_matches_hand_computed_value(self):
         pathway = chain_pathway()
-        hood = hop2_neighbors(pathway)
         rng = np.random.default_rng(2)
         expression = rng.random((6, 5))
         raw = [0.3, -0.5, 1.1]
         nets = constant_nets(pathway, raw)
-        loss = balance_loss(nets, problem_for(nets, expression, pathway, hood, 0.1))
+        loss = balance_loss(nets, problem_for(nets, expression, pathway, 0.1))
 
         flux = np.logaddexp(0.0, raw)  # softplus
         sq_a = 5 * (flux[0] - flux[1]) ** 2
@@ -206,23 +226,27 @@ class TestBalanceLoss:
         assert loss.values.item() == pytest.approx(expected, rel=1e-12)
 
     def test_neighbor_weighting(self):
+        # A's imbalance counted in B's neighbourhood (c_A = 2) or not (c_A = 1)
         pathway = chain_pathway()
-        hood = hop2_neighbors(pathway)
-        hood.weights["A"] = 0.0
         nets = constant_nets(pathway, [1.0, 0.0, 0.0])
         expression = np.ones((6, 2))
-        with_weight = balance_loss(nets, problem_for(nets, expression, pathway,
-                                                     hood, lambda_nt=0.0))
-        hood.weights["A"] = 1.0
-        full = balance_loss(nets, problem_for(nets, expression, pathway, hood,
-                                              lambda_nt=0.0))
+        with_weight = balance_loss(nets, problem_for(nets, expression, pathway, 0.0,
+                                                     c=np.array([1.0, 2.0])))
+        full = balance_loss(nets, problem_for(nets, expression, pathway, 0.0,
+                                              c=np.array([2.0, 2.0])))
         assert with_weight.values.item() < full.values.item()
+
+    def test_negative_anchor_weight_rejected(self):
+        pathway = chain_pathway()
+        nets = constant_nets(pathway, [0.0, 0.0, 0.0])
+        with pytest.raises(ValidationError, match="lambda_nt must be >= 0"):
+            problem_for(nets, np.ones((6, 2)), pathway, lambda_nt=-1.0)
 
     def test_expression_row_check(self):
         pathway = chain_pathway()
         nets = constant_nets(pathway, [0.0, 0.0, 0.0])
         with pytest.raises(ValidationError):
-            problem_for(nets, np.ones((4, 2)), pathway, hop2_neighbors(pathway))
+            problem_for(nets, np.ones((4, 2)), pathway)
         with pytest.raises(ValidationError):
             flux_matrix(nets, np.ones((4, 2)))
 
@@ -234,12 +258,11 @@ class TestFusedBalanceLoss:
     def setup_method(self):
         rng = np.random.default_rng(21)
         self.pathway = mixed_pathway()
-        self.hood = hop2_neighbors(self.pathway)
-        self.hood.weights.update({"A": 0.5, "C": 2.0})
+        self.weights = {"A": 0.5, "C": 2.0}
         self.nets = init_module_nets(self.pathway, gene_index(self.pathway), 5, rng)
         self.expression = rng.poisson(2.0, size=(6, 9)).astype(float)
-        self.problem = problem_for(self.nets, self.expression, self.pathway,
-                                   self.hood, lambda_nt=0.3)
+        self.problem = problem_for(self.nets, self.expression, self.pathway, 0.3,
+                                   c=weighted_c(self.pathway, self.weights))
 
     def params(self):
         return [self.nets.w0, self.nets.b0, self.nets.w1, self.nets.b1]
@@ -257,14 +280,14 @@ class TestFusedBalanceLoss:
 
     def test_forward_matches_composed(self):
         fused = balance_loss(self.nets, self.problem).values.item()
-        composed, _ = composed_loss(self.nets, self.expression, self.pathway,
-                                    self.hood, 0.3)
+        composed, _ = composed_loss(self.nets, self.expression, self.pathway, 0.3,
+                                    self.weights)
         assert fused == pytest.approx(composed.values.item(), rel=1e-12)
 
     def test_gradients_match_composed(self):
         got = self.fused_grads()
-        loss, per_module = composed_loss(self.nets, self.expression, self.pathway,
-                                         self.hood, 0.3)
+        loss, per_module = composed_loss(self.nets, self.expression, self.pathway, 0.3,
+                                         self.weights)
         backward(loss)
         for i, (mod, ps) in enumerate(zip(self.pathway.modules, per_module)):
             k = len(mod.genes)
@@ -356,11 +379,10 @@ class TestEstimateFluxBalance:
     def test_training_drives_loss_down(self):
         pathway = chain_pathway()
         ds = self.consistent_dataset(v=1)
-        hood = hop2_neighbors(pathway)
         cfg = ScfeaConfig(steps=400, seed=0)
         rng = np.random.default_rng(np.random.SeedSequence(0).spawn(1)[0])
         nets0 = init_module_nets(pathway, gene_index(pathway), cfg.hidden, rng)
-        initial = balance_loss(nets0, problem_for(nets0, ds.samples[0], pathway, hood,
+        initial = balance_loss(nets0, problem_for(nets0, ds.samples[0], pathway,
                                                   cfg.lambda_nt)).values.item()
         flux, bal = estimate_flux_balance(ds, pathway, cfg)
         # imbalance after training is a loose but telling proxy for the loss
