@@ -222,16 +222,18 @@ def build_parser():
         prog="snodep",
         description="Structured neural ODE processes for time-varying "
                     "distributions of gene expression, flux, and balance data.")
-    common = argparse.ArgumentParser(add_help=False)
+    # generate reads no config, so it takes its flags from ``base`` alone
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--out", default="out", help="output directory")
+    base.add_argument("--quiet", action="store_true")
+    common = argparse.ArgumentParser(add_help=False, parents=[base])
     common.add_argument("--config", default=None, help="JSON run configuration")
-    common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--quiet", action="store_true")
     seeded = argparse.ArgumentParser(add_help=False, parents=[common])
     seeded.add_argument("--seed", type=int, default=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", parents=[common],
+    p = sub.add_parser("generate", parents=[base],
                        help="synthetic dataset with known dynamics")
     p.add_argument("--kind", choices=["poisson", "gaussian"], required=True)
     p.add_argument("--cells", type=int, default=200)

@@ -161,11 +161,10 @@ class ProcessModel:
     # ---- inference ----
     def predict_batch(self, times, values, mask, query_times):
         """Deterministic inference from the context's latents at their posterior
-        median: ``mu``, or ``exp(mu)`` for LogNormal latents."""
-        l0_dist, d_dist = self.encode_batch(times, values, mask)
-        zero_l0 = Tensor(np.zeros(l0_dist.mu.shape))
-        zero_d = Tensor(np.zeros(d_dist.mu.shape))
-        l0 = l0_dist.sample(zero_l0)
-        d = d_dist.sample(zero_d)
-        t0 = float(times[0])
-        return self.decode_batch(l0, d, t0, query_times)
+        median: ``mu``, or ``exp(mu)`` for LogNormal latents. Builds no tape:
+        the result is untracked."""
+        with T.no_grad():
+            l0_dist, d_dist = self.encode_batch(times, values, mask)
+            l0 = l0_dist.sample(Tensor(np.zeros(l0_dist.mu.shape)))
+            d = d_dist.sample(Tensor(np.zeros(d_dist.mu.shape)))
+            return self.decode_batch(l0, d, float(times[0]), query_times)

@@ -7,13 +7,16 @@ pass is discretise-then-optimise: one reverse sweep over the stage
 coefficients gives the exact gradient of the discrete solution, not the
 continuous adjoint.
 
-Each stage calls the field on a fresh tracked leaf holding the stage state.
-The stage's vector-Jacobian product is read from the nodes the field built,
+Stages are recorded only when gradients are on. Then each stage calls the
+field on a fresh tracked leaf holding the stage state, and the stage's
+vector-Jacobian product is read from the nodes the field built,
 with the same walk and pull that ``tensor.backward`` uses, stopped at tracked
 leaves and at ``ctx``; for a fused MLP field this is the MLP node's own
 backward pass. Tracked non-leaf inputs must reach a field through ``ctx``:
 anything else the field closes over is a node the walk passes through, so its
-backward pass reruns at every stage.
+backward pass reruns at every stage. Inside ``tensor.no_grad`` the same
+stepping loop keeps no stage and returns an untracked path, with the same
+values bit for bit.
 """
 
 from __future__ import annotations
@@ -39,21 +42,18 @@ class SolverConfig:
 
 
 class _Stage:
-    """One field evaluation: its state leaf, its output, and the tape walk
-    from that output back to the stage's boundary."""
+    """One recorded field evaluation: its state leaf, its output, and the tape
+    walk from that output back to the stage's boundary."""
 
     __slots__ = ("leaf", "out", "order", "stop")
 
-    def __init__(self, f, t, y, ctx, stop, externals):
-        self.leaf = Tensor(y, requires_grad=True)
-        self.out = T._coerce(f(t, self.leaf, ctx))
-        if self.out.shape != y.shape:
-            raise ShapeError(
-                f"vector field returned shape {self.out.shape}, state has {y.shape}")
+    def __init__(self, leaf, out, stop, externals):
+        self.leaf = leaf
+        self.out = out
         self.stop = stop
-        self.order = T._reach(self.out, stop)
+        self.order = T._reach(out, stop)
         for node in reversed(self.order):
-            if node.requires_grad and node is not self.leaf and (
+            if node.requires_grad and node is not leaf and (
                     not node._parents or id(node) in stop):
                 externals.setdefault(id(node), node)
 
@@ -68,23 +68,34 @@ class _Stage:
 
 
 def _solve(f, y0, times, ctx, cfg, stacked):
-    """One node holding the states at ``times`` stacked along a new first axis,
-    ``y0`` as row 0, or with ``stacked`` false just the state at ``times[-1]``.
+    """The states at ``times`` stacked along a new first axis, ``y0`` as row 0,
+    or with ``stacked`` false just the state at ``times[-1]``.
 
     ``times`` is monotone, ascending or descending; ``times[0]`` is the time
-    of ``y0``. The node's parents are ``y0`` and the tracked leaves and
-    ``ctx`` that the field's stages reach.
+    of ``y0``. With gradients on, the result is one node whose parents are
+    ``y0`` and the tracked leaves and ``ctx`` that the field's stages reach;
+    inside ``tensor.no_grad`` it is an untracked tensor and no stage is kept.
     """
     rk4 = cfg.method == "rk4"
+    record = T.grad_enabled()
     stop = (id(ctx),) if isinstance(ctx, Tensor) else ()
     externals = {}
-    steps = []        # (h, stages) per step, in order
+    steps = []        # (h, stages) per step, in order, when recording
+    pending = []      # the stages of the current step
     ends = {}         # number of steps taken -> index of the path time reached
+    taken = 0
     y = y0.values
     path = [y]
 
-    def stage(t, state):
-        return _Stage(f, t, state, ctx, stop, externals)
+    def field(t, state):
+        leaf = Tensor(state, requires_grad=record)
+        out = T._coerce(f(t, leaf, ctx))
+        if out.shape != state.shape:
+            raise ShapeError(
+                f"vector field returned shape {out.shape}, state has {state.shape}")
+        if record:
+            pending.append(_Stage(leaf, out, stop, externals))
+        return out.values
 
     for a, b in zip(times, times[1:]):
         n = max(1, int(round(abs(b - a) * cfg.steps_per_unit)))
@@ -92,22 +103,26 @@ def _solve(f, y0, times, ctx, cfg, stacked):
         for i in range(n):
             t = a + i * h
             if rk4:
-                s1 = stage(t, y)
-                s2 = stage(t + 0.5 * h, y + (0.5 * h) * s1.out.values)
-                s3 = stage(t + 0.5 * h, y + (0.5 * h) * s2.out.values)
-                s4 = stage(t + h, y + h * s3.out.values)
-                y = y + (h / 6.0) * (s1.out.values + 2.0 * s2.out.values
-                                     + 2.0 * s3.out.values + s4.out.values)
-                steps.append((h, (s1, s2, s3, s4)))
+                k1 = field(t, y)
+                k2 = field(t + 0.5 * h, y + (0.5 * h) * k1)
+                k3 = field(t + 0.5 * h, y + (0.5 * h) * k2)
+                k4 = field(t + h, y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             else:
-                s1 = stage(t, y)
-                y = y + h * s1.out.values
-                steps.append((h, (s1,)))
+                y = y + h * field(t, y)
+            if record:
+                steps.append((h, tuple(pending)))
+                pending.clear()
             if not np.all(np.isfinite(y)):
                 raise NumericsError(f"non-finite state at step {i} of the interval "
                                     f"[{a:g}, {b:g}] (t={t + h:g})")
-        ends[len(steps)] = len(path)
+        taken += n
+        ends[taken] = len(path)
         path.append(y)
+
+    out = np.stack(path) if stacked else y
+    if not record:
+        return Tensor(out, op="ode_path")
 
     ext = list(externals.values())
     shape = y0.shape
@@ -133,7 +148,6 @@ def _solve(f, y0, times, ctx, cfg, stacked):
                 gy = gy + stages[0].vjp(h * gy, ext_grads)
         return [gy + g[0]] + [ext_grads[k] for k in externals]
 
-    out = np.stack(path) if stacked else y
     return T.fused("ode_path", out, [y0] + ext, bwd)
 
 
@@ -153,13 +167,3 @@ def integrate_path(f, y0, times, ctx, cfg):
     if not times:
         raise ValueError("integrate_path: needs at least the initial time")
     return _solve(f, y0, times, ctx, cfg, stacked=True)
-
-
-def linear_field(matrix):
-    """Vector field y' = y @ A^T for a constant matrix A; handy in tests."""
-    a_t = Tensor(np.asarray(matrix, dtype=np.float64).T)
-
-    def f(t, y, ctx):
-        return y @ a_t
-
-    return f

@@ -10,9 +10,16 @@ This module alone builds and walks the graph. Every op makes its node through
 (``_reach``) orders the nodes behind an output and one pull (``_pull``)
 carries a cotangent back through that order; ``backward`` and the stage
 vector-Jacobian products of the ODE solver (``ode.py``) both use them.
+
+Inside a ``with no_grad():`` block every op returns an untracked tensor with
+no parents, so inference builds no graph. The switch is per thread: a block in
+one thread leaves gradients on in every other.
 """
 
 from __future__ import annotations
+
+import contextlib
+import threading
 
 import numpy as np
 
@@ -120,17 +127,42 @@ def _coerce(x):
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
+class _GradMode(threading.local):
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Turn off graph building in this thread for the block; blocks nest, and
+    the previous state returns on exit, also when the block raises."""
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
+    try:
+        yield
+    finally:
+        _GRAD_MODE.enabled = previous
+
+
+def grad_enabled():
+    """Whether ops in this thread build graph nodes (False inside ``no_grad``)."""
+    return _GRAD_MODE.enabled
+
+
 def fused(op, out, parents, bwd):
     """One tape node with a hand-written backward pass; every op builds its
     node here.
 
     ``bwd(g)`` returns one gradient (or None) per parent. The result is an
-    untracked tensor without parents when no parent requires grad, so a node
-    with parents is always tracked.
+    untracked tensor without parents when no parent requires grad or inside
+    ``no_grad``, so a node with parents is always tracked.
     """
-    for p in parents:
-        if p.requires_grad:
-            return Tensor(out, True, tuple(parents), bwd, op)
+    if _GRAD_MODE.enabled:
+        for p in parents:
+            if p.requires_grad:
+                return Tensor(out, True, tuple(parents), bwd, op)
     return Tensor(out, op=op)
 
 

@@ -21,6 +21,16 @@ def finite_diff(f, x, h=1e-6):
     return g
 
 
+def linear_field(matrix):
+    """Vector field y' = y @ A^T for a constant matrix A."""
+    a_t = Tensor(np.asarray(matrix, dtype=np.float64).T)
+
+    def f(t, y, ctx):
+        return y @ a_t
+
+    return f
+
+
 def tracked(rng, *shape):
     return Tensor(rng.normal(size=shape), requires_grad=True)
 

@@ -257,6 +257,15 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert not (tmp_path / "n").exists()
 
+    def test_generate_takes_no_config(self, tmp_path):
+        # generate reads no config, so a --config flag is a usage error
+        with pytest.raises(SystemExit) as exc:
+            run(["generate", "--kind", "poisson", "--cells", "5", "--timesteps", "3",
+                 "--features", "2", "--config", tmp_path / "does_not_exist.json",
+                 "--out", tmp_path / "gen", "--quiet"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "gen").exists()
+
     def test_malformed_json(self, tmp_path, dataset):
         p = tmp_path / "bad.json"
         p.write_text("{not json")

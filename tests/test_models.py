@@ -3,6 +3,7 @@ import pytest
 
 from snodep.distributions import DiagNormal, PoissonD
 from snodep.models import ENCODER_FOR_KIND, KINDS, ModelConfig, ProcessModel
+from snodep import tensor as T
 from snodep.ode import SolverConfig
 from snodep.tensor import Tensor, save_checkpoint, restore_checkpoint
 
@@ -164,6 +165,49 @@ class TestPredict:
                     for dist in (l0_dist, d_dist)]
             at_mean = model.decode_batch(*mean, 0.0, [0.0, 2.0])
             assert not np.allclose(pred.mu.values[1], at_mean.mu.values[1])
+
+    @staticmethod
+    def context(kind, rng):
+        # ragged presence for the kinds whose encoders take a mask; the
+        # backward LSTM reads every context point
+        values = rng.normal(size=(3, 5, 2))
+        mask = np.ones((3, 5), dtype=bool)
+        if kind != "snodep":
+            mask[0, [1, 3]] = mask[1, 4] = mask[2, 2] = False
+        return np.array([0.0, 0.5, 1.5, 2.0, 3.0]), values, mask
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_builds_no_tracked_node(self, kind, monkeypatch):
+        model = ProcessModel(tiny_cfg(kind), seed=0)
+        times, values, mask = self.context(kind, np.random.default_rng(2))
+        made = []
+        fused = T.fused
+
+        def spy(op, out, parents, bwd):
+            made.append(fused(op, out, parents, bwd))
+            return made[-1]
+
+        monkeypatch.setattr(T, "fused", spy)
+        pred = model.predict_batch(times, values, mask, [0.0, 2.0, 4.0])
+        assert made
+        assert not any(node.requires_grad or node._parents for node in made)
+        for p in (pred.mu, pred.sigma):
+            assert not p.requires_grad and p._parents == ()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equals_taped_decode_at_median(self, kind):
+        # the tape-free prediction is bitwise the decode that a tracked
+        # encode and decode give at the posterior median
+        model = ProcessModel(tiny_cfg(kind, latent_family="lognormal"), seed=3)
+        times, values, mask = self.context(kind, np.random.default_rng(4))
+        queries = [0.0, 1.0, 2.5, 4.0]
+        l0_dist, d_dist = model.encode_batch(times, values, mask)
+        median = [Tensor(np.exp(dist.mu.values)) for dist in (l0_dist, d_dist)]
+        ref = model.decode_batch(*median, 0.0, queries)
+        pred = model.predict_batch(times, values, mask, queries)
+        assert ref.mu.requires_grad and not pred.mu.requires_grad
+        np.testing.assert_array_equal(pred.mu.values, ref.mu.values)
+        np.testing.assert_array_equal(pred.sigma.values, ref.sigma.values)
 
     def test_checkpoint_roundtrip_preserves_predictions(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -6,9 +7,9 @@ import scipy.integrate
 
 from snodep import encoders, models, nn
 from snodep import tensor as T
-from snodep.ode import SolverConfig, integrate, integrate_path, linear_field
+from snodep.ode import SolverConfig, integrate, integrate_path
 from snodep.tensor import GradientTape, NumericsError, ShapeError, Tensor, backward
-from tests.conftest import check_op, tracked
+from tests.conftest import check_op, linear_field, tracked
 
 
 def exp_field(t, y, ctx):
@@ -107,6 +108,51 @@ class TestErrors:
 
         with pytest.raises(ShapeError):
             integrate(bad, Tensor([[1.0]]), 0.0, 1.0, None, SolverConfig("euler", 2))
+
+
+class TestNoGrad:
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_untracked_path_bitwise_equal(self, method):
+        rng = np.random.default_rng(4)
+        w = tracked(rng, 3, 3)
+        y0 = tracked(rng, 2, 3)
+        stages = []
+
+        def f(t, y, ctx):
+            stages.append(y)
+            return T.tanh(y @ w) * (1.0 + t)
+
+        times, cfg = [0.0, 0.5, 1.5], SolverConfig(method, 3)
+        ref = integrate_path(f, y0, times, None, cfg)
+        with T.no_grad():
+            out = integrate_path(f, y0, times, None, cfg)
+        assert ref.requires_grad
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        np.testing.assert_array_equal(out.values, ref.values)
+        half = len(stages) // 2
+        assert all(s.requires_grad for s in stages[:half])
+        assert not any(s.requires_grad for s in stages[half:])
+
+    def test_wrong_shape_field_raises(self):
+        def bad(t, y, ctx):
+            return Tensor(np.ones((1, 3)))
+
+        with T.no_grad(), pytest.raises(ShapeError, match=r"returned shape \(1, 3\)"):
+            integrate(bad, Tensor([[1.0]]), 0.0, 1.0, None, SolverConfig("euler", 2))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    def test_nonfinite_state_same_message(self):
+        def late_blowup(t, y, ctx):
+            return y * (1e200 if t >= 1.0 else 0.0)
+
+        messages = []
+        for mode in (contextlib.nullcontext, T.no_grad):
+            with mode(), pytest.raises(NumericsError) as exc:
+                integrate_path(late_blowup, Tensor([[1e200]], requires_grad=True),
+                               [0.0, 1.0, 2.0], None, SolverConfig("rk4", 4))
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert messages[0].endswith("step 3 of the interval [0, 1] (t=1)")
 
 
 class TestGradientsThroughSolver:

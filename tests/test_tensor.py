@@ -310,6 +310,49 @@ class TestThreads:
             sys.setswitchinterval(old)
 
 
+class TestNoGrad:
+    def test_nests_and_restores(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                inner = x * 2.0
+            outer = T.tanh(x)
+            assert not T.grad_enabled()
+        for y in (inner, outer):
+            assert not y.requires_grad and y._parents == ()
+        y = x * 2.0
+        assert T.grad_enabled() and y.requires_grad and y._parents[0] is x
+
+    def test_restores_when_the_block_raises(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(ShapeError):
+            with T.no_grad():
+                T.matmul(x, x)
+        assert T.grad_enabled() and (x * 2.0).requires_grad
+
+    def test_is_per_thread(self):
+        # a worker holds no_grad open while this thread builds a node
+        x = Tensor(np.ones(2), requires_grad=True)
+        inside, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def work():
+            with T.no_grad():
+                seen["worker"] = (x * 2.0).requires_grad
+                inside.set()
+                release.wait(10)
+
+        worker = threading.Thread(target=work)
+        worker.start()
+        try:
+            assert inside.wait(10)
+            seen["main"] = (x * 2.0).requires_grad
+        finally:
+            release.set()
+            worker.join()
+        assert seen == {"worker": False, "main": True}
+
+
 class TestAdam:
     def test_first_step_is_signed_lr(self):
         p = Tensor(np.array([1.0, -1.0, 2.0]), requires_grad=True)

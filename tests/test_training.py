@@ -4,6 +4,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snodep import tensor as T
 from snodep.data import ValidationError, generate_synthetic
 from snodep.distributions import SIGMA_MIN, DiagNormal
 from snodep.models import ModelConfig, ProcessModel
@@ -232,6 +233,22 @@ class TestTrainLoop:
                                      target_len=4),
               callback=lambda s, l, parts: seen.append(s))
         assert seen == [0, 1, 2, 3, 4]
+
+    def test_evaluating_between_steps_leaves_training_unchanged(self):
+        ds, _ = generate_synthetic("gaussian", 2, 8, 20, seed=0)
+        cfg = TrainConfig(steps=6, batch_size=4, context_len=3, target_len=5,
+                          frequency=0.7)
+        plain = train(ProcessModel(small_cfg("snodep_gruode"), seed=0), ds, cfg)
+        model = ProcessModel(small_cfg("snodep_gruode"), seed=0)
+        params = list(model.parameters().values())
+
+        def evaluate_now(step, loss, parts):
+            evaluate(model, ds, 3, 5, np.random.default_rng(step), n_contexts=3,
+                     frequency=0.7)
+            # evaluating turned no gradient off and left the step's gradients
+            assert T.grad_enabled() and all(p.grad is not None for p in params)
+
+        assert train(model, ds, cfg, callback=evaluate_now) == plain
 
 
 class TestEvaluate:
