@@ -56,6 +56,7 @@ from .tensor import (
     ShapeError,
     Tensor,
     backward,
+    checkpoint_record,
     gradients,
     load_checkpoint,
     restore_checkpoint,
@@ -82,7 +83,8 @@ __all__ = [
     "ModelConfig", "NumericsError", "PathwayDef", "PathwayMetabolite",
     "PathwayModule", "PoissonD", "ProcessModel", "SIGMA_MIN", "ScfeaConfig",
     "ShapeError", "SolverConfig", "Tensor", "TimeSeriesDataset", "TrainConfig",
-    "TrajectoryBatch", "ValidationError", "backward", "compute_balance",
+    "TrajectoryBatch", "ValidationError", "backward", "checkpoint_record",
+    "compute_balance",
     "context_sweep", "elbo_loss", "estimate_flux_balance", "evaluate",
     "generate_synthetic", "gradients", "integrate", "integrate_path",
     "kl_divergence", "knockout_generate", "load_checkpoint", "load_config",

@@ -16,11 +16,12 @@ import sys
 import numpy as np
 
 from . import data as dp
-from .config import load_config, model_config, scfea_config, train_config
+from .config import DEFAULTS, load_config, model_config, scfea_config, train_config
 from .data import ValidationError
 from .models import ProcessModel
 from .scfea import estimate_flux_balance
-from .tensor import NumericsError, restore_checkpoint, save_checkpoint
+from .tensor import (NumericsError, checkpoint_record, restore_checkpoint,
+                     save_checkpoint)
 from .training import context_sweep, evaluate, train
 
 
@@ -146,7 +147,8 @@ def cmd_train(args):
             print(f"step {step}: loss {loss:.4f} (kl {parts['kl']:.4f})")
 
     history = train(model, ds, train_cfg, callback=progress)
-    save_checkpoint(os.path.join(out, "checkpoint.npz"), model.parameters())
+    save_checkpoint(os.path.join(out, "checkpoint.npz"), model.parameters(),
+                    record={"model": _model_section(model.cfg)})
     _write_csv(os.path.join(out, "loss.csv"), ["step", "loss"],
                list(enumerate(history)))
     report = _evaluate(model, ds, train_cfg, cfg)
@@ -158,10 +160,31 @@ def cmd_train(args):
     return 0
 
 
+def _model_section(model_cfg):
+    """The run's ``model`` config section, its derived choices resolved."""
+    return {key: getattr(model_cfg, key) for key in DEFAULTS["model"]}
+
+
+def _check_trained_model(path, model_cfg):
+    """Reject a checkpoint whose recorded ``model`` section differs from this
+    run's; the solver may differ. A checkpoint without a record passes."""
+    record = checkpoint_record(path)
+    if record is None:
+        return
+    ours = _model_section(model_cfg)
+    for key, value in record["model"].items():
+        if ours.get(key) != value:
+            raise ValidationError(
+                f"checkpoint {path} was trained with model.{key} = {value!r}, "
+                f"but this run has {ours.get(key)!r}")
+
+
 def cmd_evaluate(args):
     cfg, out, ds = _open_run(args)
     train_cfg = train_config(cfg)
-    model = ProcessModel(model_config(cfg, ds.d_y), seed=train_cfg.seed)
+    model_cfg = model_config(cfg, ds.d_y)
+    _check_trained_model(args.checkpoint, model_cfg)
+    model = ProcessModel(model_cfg, seed=train_cfg.seed)
     restore_checkpoint(model.parameters(), args.checkpoint)
     report = _evaluate(model, ds, train_cfg, cfg)
     _write_metrics(os.path.join(out, "metrics.csv"), report)
@@ -222,12 +245,13 @@ def build_parser():
         prog="snodep",
         description="Structured neural ODE processes for time-varying "
                     "distributions of gene expression, flux, and balance data.")
-    # generate reads no config, so it takes its flags from ``base`` alone
+    # generate reads no config and no data, so it takes its flags from ``base``
     base = argparse.ArgumentParser(add_help=False)
     base.add_argument("--out", default="out", help="output directory")
     base.add_argument("--quiet", action="store_true")
     common = argparse.ArgumentParser(add_help=False, parents=[base])
     common.add_argument("--config", default=None, help="JSON run configuration")
+    common.add_argument("--data", required=True, help="input dataset CSV")
     seeded = argparse.ArgumentParser(add_help=False, parents=[common])
     seeded.add_argument("--seed", type=int, default=None)
 
@@ -244,43 +268,36 @@ def build_parser():
 
     p = sub.add_parser("preprocess", parents=[common],
                        help="log-normalize and scale expression counts")
-    p.add_argument("--data", required=True)
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("estimate-flux", parents=[seeded],
                        help="scFEA-lite flux and balance estimation")
-    p.add_argument("--data", required=True)
     p.add_argument("--pathway", required=True)
     p.set_defaults(func=cmd_estimate_flux)
 
     p = sub.add_parser("knockout", parents=[seeded],
                        help="gene-knockout flux/balance dataset builder")
-    p.add_argument("--data", required=True)
     p.add_argument("--pathway", required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--subsets", type=int, default=None)
     p.set_defaults(func=cmd_knockout)
 
     p = sub.add_parser("train", parents=[seeded], help="train one model")
-    p.add_argument("--data", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", parents=[seeded],
                        help="evaluate a checkpoint")
-    p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("compare", parents=[seeded],
                        help="model comparison over seeds")
-    p.add_argument("--data", required=True)
     p.add_argument("--models", default="np,nodep,snodep")
     p.add_argument("--seeds", type=int, default=1)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep-context", parents=[seeded],
                        help="test-MSE versus context length")
-    p.add_argument("--data", required=True)
     p.add_argument("--contexts", default="2,4,6,8")
     p.set_defaults(func=cmd_sweep_context)
 

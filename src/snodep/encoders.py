@@ -3,9 +3,12 @@ backward GRU-ODE, plus the feed-forward heads that parameterize the latents.
 
 Every encoder is batched: it takes shared timesteps, ``(B, C, d_y)`` values
 and a ``(B, C)`` presence mask, and returns a ``(B, d_r)`` representation; a
-single sequence is a batch of one. The GRU-ODE consumes each present
-observation at its own time and evolves the hidden state by integrating the
-field between consecutive timesteps, skipping masked points entirely.
+single sequence is a batch of one. The LSTM carries its ``[h | c]`` state as
+one array and reads ``h`` from it once, at the end. The GRU-ODE consumes each
+present observation with a GRU jump at its own time and evolves the hidden
+state between consecutive timesteps by integrating its field, which
+``ProcessModel`` makes a tanh MLP of sizes ``[d_r, hidden, d_r]``; masked
+points are skipped entirely.
 """
 
 from __future__ import annotations
@@ -43,11 +46,10 @@ def lstm_encode_backward_batch(times, values, mask, params):
     if not np.all(mask):
         raise DomainError("lstm encoder assumes regular sampling; use the gruode encoder")
     b, c, _ = values.shape
-    h = Tensor(np.zeros((b, params.d_h)))
-    cell = Tensor(np.zeros((b, params.d_h)))
+    state = Tensor(np.zeros((b, 2 * params.d_h)))      # [h | c]
     for i in range(c - 1, -1, -1):
-        h, cell = nn.lstm_cell(params, Tensor(values[:, i, :]), h, cell)
-    return h
+        state = nn.lstm_cell(params, Tensor(values[:, i, :]), state)
+    return state[:, :params.d_h]
 
 
 def gru_ode_encode_batch(times, values, mask, g_field, params, cfg):

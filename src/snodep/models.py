@@ -1,11 +1,11 @@
 """The four model variants assembled from encoder, latent heads, and decoder.
 
-kind        encoder   decoder
-----        -------   -------
-np          mean      feed-forward in (l0, d, t)
-nodep       mean      neural-ODE latent evolution
-snodep      lstm      neural-ODE latent evolution
-snodep_gruode  gruode neural-ODE latent evolution
+kind           encoder   decoder
+----           -------   -------
+np             mean      feed-forward in (l0, d, t)
+nodep          mean      neural-ODE latent evolution
+snodep         lstm      neural-ODE latent evolution
+snodep_gruode  gruode    neural-ODE latent evolution
 """
 
 from __future__ import annotations
@@ -55,16 +55,14 @@ class ProcessModel:
         self.encoder_kind = ENCODER_FOR_KIND[cfg.kind]
         rng = np.random.default_rng(seed)
 
-        self.enc_mlp = None
-        self.lstm = None
-        self.gru = None
-        self.g_mlp = None
+        # the encoder's parameter struct: an MLP, LSTMParams or GRUParams
+        self.g_mlp = None                  # the GRU-ODE encoder's field
         if self.encoder_kind == "mean":
-            self.enc_mlp = nn.init_mlp(rng, [1 + cfg.d_y, cfg.hidden, cfg.d_r])
+            self.encoder = nn.init_mlp(rng, [1 + cfg.d_y, cfg.hidden, cfg.d_r])
         elif self.encoder_kind == "lstm":
-            self.lstm = nn.init_lstm(rng, cfg.d_y, cfg.d_r)
+            self.encoder = nn.init_lstm(rng, cfg.d_y, cfg.d_r)
         else:
-            self.gru = nn.init_gru(rng, cfg.d_y, cfg.d_r)
+            self.encoder = nn.init_gru(rng, cfg.d_y, cfg.d_r)
             self.g_mlp = nn.init_mlp(rng, [cfg.d_r, cfg.hidden, cfg.d_r])
 
         self.heads = encoders.init_latent_heads(rng, cfg.d_r, cfg.d_z, cfg.d_d)
@@ -76,13 +74,7 @@ class ProcessModel:
 
     # ---- parameters ----
     def parameters(self):
-        out = {}
-        if self.enc_mlp is not None:
-            out.update(nn.named_tensors(self.enc_mlp, "encoder"))
-        if self.lstm is not None:
-            out.update(nn.named_tensors(self.lstm, "encoder"))
-        if self.gru is not None:
-            out.update(nn.named_tensors(self.gru, "encoder"))
+        out = nn.named_tensors(self.encoder, "encoder")
         if self.g_mlp is not None:
             out.update(nn.named_tensors(self.g_mlp, "g_field"))
         out.update(nn.named_tensors(self.heads, "latent_heads"))
@@ -109,12 +101,12 @@ class ProcessModel:
         if np.any(np.diff(times) <= 0):
             raise ValueError("context times must be strictly ascending")
         if self.encoder_kind == "mean":
-            r = encoders.np_encode_batch(times, values, mask, self.enc_mlp)
+            r = encoders.np_encode_batch(times, values, mask, self.encoder)
         elif self.encoder_kind == "lstm":
-            r = encoders.lstm_encode_backward_batch(times, values, mask, self.lstm)
+            r = encoders.lstm_encode_backward_batch(times, values, mask, self.encoder)
         else:
             r = encoders.gru_ode_encode_batch(
-                times, values, mask, self._g_field, self.gru, self.cfg.solver)
+                times, values, mask, self._g_field, self.encoder, self.cfg.solver)
         return encoders.latent_params(r, self.heads, self.cfg.latent_family)
 
     def _g_field(self, t, h, ctx):

@@ -116,21 +116,18 @@ def init_lstm(rng, d_in, d_h):
     return LSTMParams(w, b, d_h)
 
 
-def lstm_cell(p, x, h, c):
-    """One LSTM step -> (h_new, c_new).
-
-    A single tape node computes ``[h_new | c_new]``; the two results are its
-    column halves.
-    """
-    x, h, c = T._coerce(x), T._coerce(h), T._coerce(c)
+def lstm_cell(p, x, state):
+    """One LSTM step on the ``(B, 2·d_h)`` state ``[h | c]`` -> ``[h_new | c_new]``,
+    as a single tape node."""
+    x, state = T._coerce(x), T._coerce(state)
     w, d, dx = p.w.values, p.d_h, x.values.shape[1]
-    xh = np.concatenate([x.values, h.values], axis=1)
+    xh = np.concatenate([x.values, state.values[:, :d]], axis=1)
     gates = xh @ w + p.b.values
     i = T._expit(gates[:, :d])
     f = T._expit(gates[:, d:2 * d])
     g = np.tanh(gates[:, 2 * d:3 * d])
     o = T._expit(gates[:, 3 * d:])
-    c_prev = c.values
+    c_prev = state.values[:, d:]
     c_new = f * c_prev + i * g
     tc = np.tanh(c_new)
     bshape = p.b.values.shape
@@ -143,12 +140,11 @@ def lstm_cell(p, x, h, c):
                                   g_c * i * (1.0 - g * g),
                                   g_h * tc * o * (1.0 - o)], axis=1)
         g_xh = g_gates @ w.T
-        return (g_xh[:, :dx], g_xh[:, dx:], g_c * f, xh.T @ g_gates,
-                T._unbroadcast(g_gates, bshape))
+        return (g_xh[:, :dx], np.concatenate([g_xh[:, dx:], g_c * f], axis=1),
+                xh.T @ g_gates, T._unbroadcast(g_gates, bshape))
 
-    out = T.fused("lstm_cell", np.concatenate([o * tc, c_new], axis=1),
-                  (x, h, c, p.w, p.b), bwd)
-    return out[:, :d], out[:, d:]
+    return T.fused("lstm_cell", np.concatenate([o * tc, c_new], axis=1),
+                   (x, state, p.w, p.b), bwd)
 
 
 @dataclass

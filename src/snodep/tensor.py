@@ -19,6 +19,7 @@ one thread leaves gradients on in every other.
 from __future__ import annotations
 
 import contextlib
+import json
 import threading
 
 import numpy as np
@@ -546,14 +547,28 @@ class Adam:
             p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def save_checkpoint(path, params):
-    """Write named parameters as an .npz map {name -> float64 array}."""
-    np.savez(path, **{name: p.values for name, p in params.items()})
+_RECORD = "_record"     # the checkpoint entry that holds the JSON record
+
+
+def save_checkpoint(path, params, record=None):
+    """Write named parameters as an .npz map {name -> float64 array}, and
+    ``record``, a JSON-serialisable dict, beside them when given."""
+    arrays = {name: p.values for name, p in params.items()}
+    if record is not None:
+        arrays[_RECORD] = np.array(json.dumps(record))
+    np.savez(path, **arrays)
 
 
 def load_checkpoint(path):
     with np.load(path) as data:
-        return {name: data[name].astype(np.float64) for name in data.files}
+        return {name: data[name].astype(np.float64) for name in data.files
+                if name != _RECORD}
+
+
+def checkpoint_record(path):
+    """The record saved with the checkpoint at ``path``, or None."""
+    with np.load(path) as data:
+        return json.loads(str(data[_RECORD])) if _RECORD in data.files else None
 
 
 def restore_checkpoint(params, path):

@@ -164,35 +164,32 @@ class MetricReport:
     all_mse: float             # mean over every evaluated timestep
 
 
-def test_mse(head_kind, pred_params, samples, times=None, unseen=None):
+def test_mse(head_kind, pred_mean, samples, times=None, unseen=None):
     """Distribution-level MSE against empirical per-timestep ground truth.
 
-    poisson:  lambda_* + (lambda - lambda_*)^2, lambda_* the sample mean.
-    gaussian: sigma_*^2 + (mu - mu_*)^2, with empirical mean and variance.
-    ``pred_params[i]`` is a rate vector (poisson) or ``(mu, sigma)`` (gaussian).
+    ``spread + (pred_mean - mean)^2`` per timestep and dimension, where
+    ``mean`` is the sample mean and ``spread`` the noise a perfect predictor
+    still pays: the sample mean (poisson, ``pred_mean`` the rate) or the
+    sample variance (gaussian, ``pred_mean`` the mean). ``pred_mean`` is
+    ``(V, d_y)`` for ``V`` timesteps of ``(d_y, n)`` samples.
     """
-    if len(pred_params) != len(samples):
-        raise ValidationError("one parameter vector required per evaluated timestep")
-    per_dim = []
-    for i, mat in enumerate(samples):
-        mat = np.asarray(mat, dtype=np.float64)
+    if head_kind not in ("poisson", "gaussian"):
+        raise ValidationError(f"unknown head kind {head_kind!r}")
+    pred_mean = np.asarray(pred_mean, dtype=np.float64)
+    mats = [np.asarray(mat, dtype=np.float64) for mat in samples]
+    if not mats:
+        raise ValidationError("test_mse needs at least one evaluated timestep")
+    for i, mat in enumerate(mats):
         if mat.shape[1] < 2:
             raise ValidationError(
                 f"timestep {i}: need at least 2 samples to estimate ground truth")
-        if head_kind == "poisson":
-            lam = np.asarray(pred_params[i], dtype=np.float64)
-            lam_star = mat.mean(axis=1)
-            per_dim.append(lam_star + (lam - lam_star) ** 2)
-        elif head_kind == "gaussian":
-            p = pred_params[i]
-            mu = np.asarray(p[0] if isinstance(p, (tuple, list)) else p,
-                            dtype=np.float64)
-            mu_star = mat.mean(axis=1)
-            var_star = mat.var(axis=1)
-            per_dim.append(var_star + (mu - mu_star) ** 2)
-        else:
-            raise ValidationError(f"unknown head kind {head_kind!r}")
-    per_dim = np.asarray(per_dim)
+    mean = np.stack([mat.mean(axis=1) for mat in mats])
+    if pred_mean.shape != mean.shape:
+        raise ValidationError(
+            f"predicted means have shape {pred_mean.shape}; expected "
+            f"{mean.shape}, one row per evaluated timestep")
+    spread = mean if head_kind == "poisson" else np.stack([mat.var(axis=1) for mat in mats])
+    per_dim = spread + (pred_mean - mean) ** 2
     per_timestep = per_dim.sum(axis=1)
     n = len(samples)
     if times is None:
@@ -213,17 +210,16 @@ def test_mse(head_kind, pred_params, samples, times=None, unseen=None):
 
 def predict_average_params(model, ds, context_len, rng, n_contexts=8,
                            frequency=1.0):
-    """Predicted output parameters per dataset timestep, averaged over
-    ``n_contexts`` sampled evaluation contexts."""
+    """``(V, d_y)`` predicted means (the rate ``lam`` or the mean ``mu``) per
+    dataset timestep, averaged over ``n_contexts`` sampled evaluation contexts."""
     if n_contexts < 1:
         raise ValidationError(f"n_contexts must be >= 1, got {n_contexts}")
     values = draw_cells(ds, n_contexts, context_len, rng)
     mask = draw_presence_mask(n_contexts, context_len, context_len, frequency, rng)
     dist = model.predict_batch(ds.times[:context_len], values, mask,
                                list(ds.times))
-    if model.cfg.head == "poisson":
-        return list(dist.lam.values.mean(axis=1))
-    return list(zip(dist.mu.values.mean(axis=1), dist.sigma.values.mean(axis=1)))
+    mean = dist.lam if model.cfg.head == "poisson" else dist.mu
+    return mean.values.mean(axis=1)
 
 
 def evaluate(model, ds, context_len, target_len, rng, n_contexts=8,

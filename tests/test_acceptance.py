@@ -147,8 +147,7 @@ def test_criterion_3_closed_form_oracles(capsys):
     lp23 = PoissonD(Tensor([[3.0]])).log_prob(np.array([[2.0]])).values.item()
     lp23_oracle = 2 * math.log(3.0) - 3.0 - math.log(2.0)
     # empirical moments mu* = 3, sigma*^2 = 0.25 from two samples
-    report = distribution_mse("gaussian", [(np.array([1.0]), np.array([1.0]))],
-                              [np.array([[2.5, 3.5]])])
+    report = distribution_mse("gaussian", np.array([[1.0]]), [np.array([[2.5, 3.5]])])
     mse = report.per_timestep[0]
 
     ok = (abs(kl_same) <= 1e-12 and abs(kl_half - 0.5) <= 1e-12

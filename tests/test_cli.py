@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from snodep import cli
-from snodep.tensor import NumericsError
+from snodep.tensor import (NumericsError, Tensor, checkpoint_record, load_checkpoint,
+                           save_checkpoint)
 
 
 def run(args):
@@ -109,6 +110,53 @@ class TestTrainEvaluate:
         out = tmp_path / "run_norm"
         assert run(["train", "--data", pre / "normalized.csv", "--config", p,
                     "--out", out, "--quiet"]) == 0
+
+
+class TestCheckpointRecord:
+    """A checkpoint records the model section it was trained with; ``evaluate``
+    rejects one whose record differs from its own, except in the solver."""
+
+    def write_cfg(self, tmp_path, name, **model):
+        cfg = {**SMALL_CFG, "model": {**SMALL_CFG["model"], "kind": "nodep", **model}}
+        p = tmp_path / name
+        p.write_text(json.dumps(cfg))
+        return p
+
+    @pytest.fixture
+    def trained(self, tmp_path, dataset):
+        out = tmp_path / "run"
+        assert run(["train", "--data", dataset, "--config",
+                    self.write_cfg(tmp_path, "nodep.json"), "--out", out, "--quiet"]) == 0
+        return out
+
+    def evaluate(self, tmp_path, dataset, checkpoint, cfg):
+        return run(["evaluate", "--data", dataset, "--config", cfg, "--checkpoint",
+                    checkpoint, "--out", tmp_path / "ev", "--quiet"])
+
+    @pytest.mark.parametrize("key, value", [("kind", "np"),
+                                            ("latent_family", "normal")])
+    def test_other_model_rejected(self, tmp_path, dataset, trained, capsys, key, value):
+        # np and nodep share every parameter name and shape
+        cfg = self.write_cfg(tmp_path, "other.json", **{key: value})
+        assert self.evaluate(tmp_path, dataset, trained / "checkpoint.npz", cfg) == 2
+        assert f"model.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "ev" / "metrics.csv").exists()
+
+    def test_other_solver_accepted(self, tmp_path, dataset, trained):
+        cfg = json.loads((trained / "config.json").read_text())
+        cfg["solver"] = {"method": "rk4", "steps_per_unit": 3}
+        p = tmp_path / "rk4.json"
+        p.write_text(json.dumps(cfg))
+        assert self.evaluate(tmp_path, dataset, trained / "checkpoint.npz", p) == 0
+
+    def test_checkpoint_without_record_loads(self, tmp_path, dataset, trained):
+        bare = tmp_path / "bare.npz"
+        save_checkpoint(bare, {k: Tensor(v) for k, v in
+                               load_checkpoint(trained / "checkpoint.npz").items()})
+        assert checkpoint_record(bare) is None
+        assert self.evaluate(tmp_path, dataset, bare, trained / "config.json") == 0
+        assert (tmp_path / "ev" / "metrics.csv").read_bytes() == \
+            (trained / "metrics.csv").read_bytes()
 
 
 class TestCompare:
@@ -265,6 +313,27 @@ class TestExitCodes:
                  "--out", tmp_path / "gen", "--quiet"])
         assert exc.value.code == 2
         assert not (tmp_path / "gen").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["preprocess"],
+        ["estimate-flux", "--pathway", "p.json"],
+        ["knockout", "--pathway", "p.json"],
+        ["train"],
+        ["evaluate", "--checkpoint", "c.npz"],
+        ["compare"],
+        ["sweep-context"],
+    ], ids=lambda argv: argv[0])
+    def test_data_is_required(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", tmp_path / "o", "--quiet"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --data" in capsys.readouterr().err
+
+    def test_generate_takes_no_data(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["generate", "--kind", "poisson", "--data", tmp_path / "d.csv",
+                 "--out", tmp_path / "gen", "--quiet"])
+        assert exc.value.code == 2
 
     def test_malformed_json(self, tmp_path, dataset):
         p = tmp_path / "bad.json"

@@ -112,11 +112,18 @@ class TestLstmEncoder:
         values = self.rng.normal(size=(1, 3, 2))
         r = lstm_encode_backward_batch(np.arange(3.0), values,
                                        np.ones((1, 3), dtype=bool), self.params)
-        h = Tensor(np.zeros((1, 5)))
-        c = Tensor(np.zeros((1, 5)))
+        state = Tensor(np.zeros((1, 10)))
         for i in (2, 1, 0):
-            h, c = nn.lstm_cell(self.params, Tensor(values[:, i, :]), h, c)
-        np.testing.assert_allclose(r.values, h.values, atol=1e-12)
+            state = nn.lstm_cell(self.params, Tensor(values[:, i, :]), state)
+        np.testing.assert_allclose(r.values, state.values[:, :5], atol=1e-12)
+
+    def test_one_cell_node_per_point_and_one_slice(self):
+        c = 4
+        r = lstm_encode_backward_batch(np.arange(float(c)), self.rng.normal(size=(2, c, 2)),
+                                       np.ones((2, c), dtype=bool), self.params)
+        ops = [n.op for n in T.GradientTape.from_output(r).operations if n.op != "leaf"]
+        assert ops == ["lstm_cell"] * c + ["slice"]
+        assert r.shape == (2, 5)
 
     def test_order_sensitivity(self):
         values = self.rng.normal(size=(1, 3, 2))

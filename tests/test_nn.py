@@ -26,15 +26,16 @@ def composed_field(trunk, l, d, t):
     return composed_mlp(trunk, T.concat([l, d, t_col], axis=1))
 
 
-def composed_lstm(p, x, h, c):
-    gates = T.concat([x, h], axis=1) @ p.w + p.b
+def composed_lstm(p, x, state):
     d = p.d_h
+    h, c = state[:, :d], state[:, d:]
+    gates = T.concat([x, h], axis=1) @ p.w + p.b
     i = T.sigmoid(gates[:, :d])
     f = T.sigmoid(gates[:, d:2 * d])
     g = T.tanh(gates[:, 2 * d:3 * d])
     o = T.sigmoid(gates[:, 3 * d:])
     c_new = f * c + i * g
-    return o * T.tanh(c_new), c_new
+    return T.concat([o * T.tanh(c_new), c_new], axis=1)
 
 
 def composed_gru(p, x, h):
@@ -153,27 +154,28 @@ class TestFusedLSTM:
     p = nn.init_lstm(rng, 3, 4)
 
     def test_cell(self):
-        x, h, c = tracked(self.rng, 5, 3), tracked(self.rng, 5, 4), tracked(self.rng, 5, 4)
-        check_op(lambda: list(nn.lstm_cell(self.p, x, h, c)),
-                 lambda: list(composed_lstm(self.p, x, h, c)),
-                 [x, h, c, self.p.w, self.p.b])
+        x, state = tracked(self.rng, 5, 3), tracked(self.rng, 5, 8)
+        check_op(lambda: [nn.lstm_cell(self.p, x, state)],
+                 lambda: [composed_lstm(self.p, x, state)],
+                 [x, state, self.p.w, self.p.b])
 
     def test_unrolled_through_both_outputs(self):
+        # h feeds the next step's gates and c its cell update; only h is read
         xs = [Tensor(self.rng.normal(size=(2, 3))) for _ in range(3)]
 
         def run(cell):
-            h, c = Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4)))
+            state = Tensor(np.zeros((2, 8)))
             for x in xs:
-                h, c = cell(self.p, x, h, c)
-            return [h]
+                state = cell(self.p, x, state)
+            return [state[:, :4]]
 
         check_op(lambda: run(nn.lstm_cell), lambda: run(composed_lstm),
                  [self.p.w, self.p.b])
 
     def test_untracked_when_nothing_requires_grad(self):
         frozen = nn.LSTMParams(Tensor(self.p.w.values), Tensor(self.p.b.values), 4)
-        h, c = nn.lstm_cell(frozen, np.ones((1, 3)), np.zeros((1, 4)), np.zeros((1, 4)))
-        assert not h.requires_grad and not c.requires_grad
+        state = nn.lstm_cell(frozen, np.ones((1, 3)), np.zeros((1, 8)))
+        assert state.shape == (1, 8) and not state.requires_grad
 
 
 class TestFusedGRU:

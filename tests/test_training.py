@@ -16,6 +16,7 @@ from snodep.training import (
     draw_presence_mask,
     elbo_loss,
     evaluate,
+    predict_average_params,
     sample_batch,
     test_mse as distribution_mse,
     train,
@@ -172,10 +173,20 @@ class TestElbo:
 class TestTestMse:
     def test_gaussian_anchor(self):
         # mu*=3, sigma*^2=0.25 from the two-sample set {2.5, 3.5}; mu=1
-        report = distribution_mse("gaussian", [(np.array([1.0]), np.array([0.1]))],
-                          [np.array([[2.5, 3.5]])])
+        report = distribution_mse("gaussian", np.array([[1.0]]), [np.array([[2.5, 3.5]])])
         assert report.per_timestep[0] == 4.25
         assert report.all_mse == 4.25
+
+    @pytest.mark.parametrize("pred", [
+        [(np.array([1.0]), np.array([0.1]))],   # a (mu, sigma) pair per timestep
+        np.array([1.0]),                        # (V,), not (V, d_y)
+        np.array([[1.0, 1.0]]),                 # too many dimensions
+        np.array([[1.0], [1.0]]),               # too many timesteps
+    ])
+    @pytest.mark.parametrize("head", ["poisson", "gaussian"])
+    def test_rejects_prediction_that_is_not_v_by_dy(self, head, pred):
+        with pytest.raises(ValidationError, match=r"expected \(1, 1\)"):
+            distribution_mse(head, pred, [np.array([[2.5, 3.5]])])
 
     def test_poisson_formula(self):
         rng = np.random.default_rng(0)
@@ -261,6 +272,14 @@ class TestEvaluate:
         np.testing.assert_array_equal(report.unseen_indices, [5, 6, 7])
         assert report.unseen_mse == pytest.approx(report.per_timestep[5:].mean())
         assert report.all_mse == pytest.approx(report.per_timestep.mean())
+
+    @pytest.mark.parametrize("head", ["poisson", "gaussian"])
+    def test_predictions_are_one_mean_array(self, head):
+        ds, _ = generate_synthetic(head, 2, 8, 20, seed=0)
+        model = ProcessModel(small_cfg("nodep", head=head), seed=0)
+        pred = predict_average_params(model, ds, 3, np.random.default_rng(0), 4)
+        assert isinstance(pred, np.ndarray)
+        assert pred.shape == (8, 2) and pred.dtype == np.float64
 
     def test_needs_a_context(self):
         ds, _ = generate_synthetic("gaussian", 2, 6, 10, seed=0)
