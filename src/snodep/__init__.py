@@ -66,7 +66,6 @@ from .training import (
     MetricReport,
     TrainConfig,
     TrajectoryBatch,
-    context_sweep,
     elbo_loss,
     evaluate,
     sample_batch,
@@ -84,8 +83,7 @@ __all__ = [
     "PathwayModule", "PoissonD", "ProcessModel", "SIGMA_MIN", "ScfeaConfig",
     "ShapeError", "SolverConfig", "Tensor", "TimeSeriesDataset", "TrainConfig",
     "TrajectoryBatch", "ValidationError", "backward", "checkpoint_record",
-    "compute_balance",
-    "context_sweep", "elbo_loss", "estimate_flux_balance", "evaluate",
+    "compute_balance", "elbo_loss", "estimate_flux_balance", "evaluate",
     "generate_synthetic", "gradients", "integrate", "integrate_path",
     "kl_divergence", "knockout_generate", "load_checkpoint", "load_config",
     "load_expression_csv", "load_pathway_json", "load_timeseries_csv",

@@ -1,6 +1,9 @@
 """Command-line surface: generation, preprocessing, flux estimation, knockout
 building, training, evaluation, comparison, and context sweeps.
 
+``train``, ``compare`` and ``sweep-context`` run cells, one merged config each,
+through ``_compare_cell``: the one path that builds, trains and scores a model.
+
 Exit codes: 0 success, 2 validation error, 3 numerical failure. All artifacts
 are CSV (plus .npz checkpoints); plotting is left to external tools.
 """
@@ -18,11 +21,11 @@ import numpy as np
 from . import data as dp
 from .config import DEFAULTS, load_config, model_config, scfea_config, train_config
 from .data import ValidationError
-from .models import ProcessModel
+from .models import ENCODER_FOR_KIND, ProcessModel
 from .scfea import estimate_flux_balance
 from .tensor import (NumericsError, checkpoint_record, restore_checkpoint,
                      save_checkpoint)
-from .training import context_sweep, evaluate, train
+from .training import evaluate, train
 
 
 def _ensure_dir(path):
@@ -53,6 +56,52 @@ def _evaluate(model, ds, train_cfg, cfg):
     return evaluate(model, ds, train_cfg.context_len, train_cfg.target_len,
                     np.random.default_rng(train_cfg.seed + 1),
                     cfg["eval"]["contexts"], cfg["eval"]["frequency"])
+
+
+def _compare_cell(cfg, ds, callback=None):
+    """The model of the merged config ``cfg``, trained and scored: the model,
+    its loss history and its ``MetricReport``."""
+    train_cfg = train_config(cfg)
+    model = ProcessModel(model_config(cfg, ds.d_y), seed=train_cfg.seed)
+    history = train(model, ds, train_cfg, callback=callback)
+    return model, history, _evaluate(model, ds, train_cfg, cfg)
+
+
+def _check_sampling(cfg, sections):
+    """The LSTM encoder reads every context timestep: reject its model when a
+    section of ``sections`` samples at a ``frequency`` below 1."""
+    kind = cfg["model"]["kind"]
+    for section in sections:
+        if ENCODER_FOR_KIND[kind] == "lstm" and cfg[section]["frequency"] < 1.0:
+            raise ValidationError(
+                f"model.kind {kind!r} encodes with an LSTM, which needs "
+                f"{section}.frequency 1, got {cfg[section]['frequency']}")
+
+
+def _run_cells(args, ds, grid):
+    """The unseen test-MSE of the cell of each override dict in ``grid``.
+
+    Every cell is checked before the first trains: the config rules, the
+    LSTM's sampling, and an unseen timestep left to score.
+    """
+    cells = [load_config(args.config, overrides) for overrides in grid]
+    for cfg in cells:
+        _check_sampling(cfg, ("train", "eval"))
+        if cfg["train"]["target_len"] >= ds.n_timesteps:
+            raise ValidationError(f"train.target_len {cfg['train']['target_len']} "
+                                  f"leaves no unseen timesteps of the {ds.n_timesteps}")
+    return [_compare_cell(cfg, ds)[2].unseen_mse for cfg in cells]
+
+
+def _list_flag(flag, text, parse=str):
+    """The comma-separated values of ``flag``; an empty list is rejected."""
+    try:
+        values = [parse(item.strip()) for item in text.split(",") if item.strip()]
+    except ValueError:
+        raise ValidationError(f"{flag} takes comma-separated values, got {text!r}") from None
+    if not values:
+        raise ValidationError(f"{flag} needs at least one value, got {text!r}")
+    return values
 
 
 def _write_metrics(path, report):
@@ -139,19 +188,18 @@ def cmd_knockout(args):
 
 def cmd_train(args):
     cfg, out, ds = _open_run(args)
-    train_cfg = train_config(cfg)
-    model = ProcessModel(model_config(cfg, ds.d_y), seed=train_cfg.seed)
+    _check_sampling(cfg, ("train", "eval"))
+    steps = cfg["train"]["steps"]
 
     def progress(step, loss, parts):
-        if not args.quiet and (step % 500 == 0 or step == train_cfg.steps - 1):
+        if not args.quiet and (step % 500 == 0 or step == steps - 1):
             print(f"step {step}: loss {loss:.4f} (kl {parts['kl']:.4f})")
 
-    history = train(model, ds, train_cfg, callback=progress)
+    model, history, report = _compare_cell(cfg, ds, callback=progress)
     save_checkpoint(os.path.join(out, "checkpoint.npz"), model.parameters(),
                     record={"model": _model_section(model.cfg)})
     _write_csv(os.path.join(out, "loss.csv"), ["step", "loss"],
                list(enumerate(history)))
-    report = _evaluate(model, ds, train_cfg, cfg)
     _write_metrics(os.path.join(out, "metrics.csv"), report)
     with open(os.path.join(out, "config.json"), "w") as fh:
         json.dump(cfg, fh, indent=2)
@@ -181,6 +229,7 @@ def _check_trained_model(path, model_cfg):
 
 def cmd_evaluate(args):
     cfg, out, ds = _open_run(args)
+    _check_sampling(cfg, ("eval",))
     train_cfg = train_config(cfg)
     model_cfg = model_config(cfg, ds.d_y)
     _check_trained_model(args.checkpoint, model_cfg)
@@ -193,23 +242,15 @@ def cmd_evaluate(args):
     return 0
 
 
-def _compare_cell(cfg, ds, kind, seed):
-    cfg = {**cfg, "model": {**cfg["model"], "kind": kind},
-           "train": {**cfg["train"], "seed": seed}}
-    train_cfg = train_config(cfg)
-    model = ProcessModel(model_config(cfg, ds.d_y), seed=seed)
-    train(model, ds, train_cfg)
-    return _evaluate(model, ds, train_cfg, cfg).unseen_mse
-
-
 def cmd_compare(args):
+    kinds = _list_flag("--models", args.models)
+    if args.seeds < 1:
+        raise ValidationError(f"--seeds must be >= 1, got {args.seeds}")
     cfg, out, ds = _open_run(args)
-    kinds = [k.strip() for k in args.models.split(",") if k.strip()]
-    if not kinds:
-        raise ValidationError("compare needs at least one model kind")
     seeds = [cfg["train"]["seed"] + i for i in range(args.seeds)]
     cells = [(kind, seed) for kind in kinds for seed in seeds]
-    results = [_compare_cell(cfg, ds, k, s) for k, s in cells]
+    results = _run_cells(args, ds, [{"model": {"kind": k}, "train": {"seed": s}}
+                                    for k, s in cells])
     mse = {}
     rows = []
     for (kind, seed), value in zip(cells, results):
@@ -229,10 +270,12 @@ def cmd_compare(args):
 
 
 def cmd_sweep_context(args):
+    contexts = _list_flag("--contexts", args.contexts, int)
     cfg, out, ds = _open_run(args)
-    contexts = [int(c) for c in args.contexts.split(",") if c.strip()]
-    rows = context_sweep(ds, contexts, model_config(cfg, ds.d_y), train_config(cfg),
-                         cfg["eval"]["contexts"], cfg["eval"]["frequency"])
+    seed = cfg["train"]["seed"]
+    rows = list(zip(contexts, _run_cells(args, ds, [
+        {"train": {"seed": seed, "context_len": c, "target_len": c + c // 2}}
+        for c in contexts])))
     _write_csv(os.path.join(out, "sweep.csv"), ["context_len", "test_mse"], rows)
     if not args.quiet:
         for c_len, value in rows:

@@ -61,22 +61,11 @@ class DiagNormal:
         return T.tsum(per_dim, axis=-1)
 
 
-class LogNormalD:
-    """LogNormal: exp of a diagonal Normal with parameters ``mu``, ``sigma``."""
-
-    def __init__(self, mu, sigma):
-        self.base = DiagNormal(mu, sigma)
-
-    @property
-    def mu(self):
-        return self.base.mu
-
-    @property
-    def sigma(self):
-        return self.base.sigma
+class LogNormalD(DiagNormal):
+    """LogNormal: exp of the diagonal Normal with parameters ``mu``, ``sigma``."""
 
     def sample(self, noise):
-        return T.exp(self.base.sample(noise))
+        return T.exp(super().sample(noise))
 
     def log_prob(self, x):
         x = x if isinstance(x, Tensor) else Tensor(x)
@@ -114,9 +103,7 @@ def kl_divergence(p, q):
         raise TypeError(
             f"kl_divergence: family mismatch {type(p).__name__} vs {type(q).__name__}"
         )
-    if isinstance(p, LogNormalD):
-        p, q = p.base, q.base
-    elif not isinstance(p, DiagNormal):
+    if not isinstance(p, DiagNormal):
         raise TypeError(f"kl_divergence: unsupported family {type(p).__name__}")
     _check_same_shape("kl_divergence", p.mu, q.mu)
     ratio = p.sigma / q.sigma

@@ -8,13 +8,13 @@ always keeping the first context point and at least two context points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import TimeSeriesDataset, ValidationError
 from .distributions import kl_divergence
-from .models import ModelConfig, ProcessModel
+from .models import ProcessModel
 from .tensor import Adam, NumericsError, Tensor, backward
 from . import tensor as T
 
@@ -232,25 +232,3 @@ def evaluate(model, ds, context_len, target_len, rng, n_contexts=8,
     return test_mse(model.cfg.head, preds, ds.samples, times=ds.times,
                     unseen=unseen)
 
-
-def context_sweep(ds, context_lengths, model_cfg: ModelConfig,
-                  train_cfg: TrainConfig, n_contexts=8, frequency=1.0):
-    """Train one model per context length C with target length C + C//2 and
-    evaluate it on ``n_contexts`` contexts at ``frequency``.
-
-    Returns rows of ``(C, unseen_mse)``.
-    """
-    rows = []
-    for c_len in context_lengths:
-        t_len = c_len + c_len // 2
-        if t_len >= ds.n_timesteps:
-            raise ValidationError(
-                f"C={c_len}: target length {t_len} leaves no unseen timesteps")
-        cfg = replace(train_cfg, context_len=c_len, target_len=t_len)
-        model = ProcessModel(model_cfg, seed=cfg.seed)
-        train(model, ds, cfg)
-        report = evaluate(model, ds, c_len, t_len,
-                          np.random.default_rng(cfg.seed + 1), n_contexts,
-                          frequency)
-        rows.append((c_len, report.unseen_mse))
-    return rows

@@ -5,18 +5,21 @@ line so the whole gate can be read at a glance from the pytest output. The
 empirical criteria (5-7) train real models and together take a few minutes.
 """
 
+import csv
+import json
 import math
 import time
 
 import numpy as np
 import pytest
 
-from snodep import nn
+from snodep import cli, nn
 from snodep.data import (
     TimeSeriesDataset,
     generate_synthetic,
     knockout_generate,
     pathway_from_dict,
+    save_timeseries_csv,
     top_expressed_genes,
 )
 from snodep.distributions import DiagNormal, PoissonD, kl_divergence
@@ -40,7 +43,6 @@ from snodep.training import (
     TrajectoryBatch,
     elbo_loss,
     evaluate,
-    context_sweep,
     test_mse as distribution_mse,
     train,
 )
@@ -268,15 +270,22 @@ def test_criterion_7_gruode_beats_nodep_irregular(capsys):
              f" <= nodep mean {np.mean(nodep):.3f}, {wins}/5 seeds", ok)
 
 
-def test_criterion_8_context_sweep(capsys, poisson_ds_small):
-    """More context does not hurt: test-MSE at C=8 <= test-MSE at C=2."""
-    cfg = ModelConfig("snodep", d_y=3, head="poisson", latent_family="lognormal",
-                      d_r=32, d_z=16, d_d=16, hidden=32,
-                      solver=SolverConfig("euler", 2))
-    rows = context_sweep(poisson_ds_small, [2, 8], cfg,
-                         TrainConfig(steps=1000, batch_size=16, lr=3e-3, seed=0),
-                         n_contexts=8)
-    by_c = dict(rows)
+def test_criterion_8_context_sweep(capsys, poisson_ds_small, tmp_path):
+    """More context does not hurt: test-MSE at C=8 <= test-MSE at C=2, from
+    ``snodep sweep-context`` on the dataset saved as long CSV."""
+    data = tmp_path / "dataset.csv"
+    save_timeseries_csv(data, poisson_ds_small)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "model": {"kind": "snodep", "d_r": 32, "d_z": 16, "d_d": 16, "hidden": 32},
+        "solver": {"method": "euler", "steps_per_unit": 2},
+        "train": {"steps": 1000, "batch_size": 16, "lr": 3e-3, "seed": 0},
+        "eval": {"contexts": 8}}))
+    assert cli.main(["sweep-context", "--data", str(data), "--config", str(cfg),
+                     "--contexts", "2,8", "--out", str(tmp_path / "sweep"),
+                     "--quiet"]) == 0
+    with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
+        by_c = {int(c): float(mse) for c, mse in list(csv.reader(fh))[1:]}
     ok = by_c[8] <= by_c[2]
     announce(capsys, 8,
              f"context sweep — mse(C=8) {by_c[8]:.3f} <= mse(C=2) {by_c[2]:.3f}",

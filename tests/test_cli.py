@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from snodep import cli
+from snodep import cli, training
 from snodep.tensor import (NumericsError, Tensor, checkpoint_record, load_checkpoint,
                            save_checkpoint)
 
@@ -189,6 +189,21 @@ class TestSweep:
         assert rows[0] == ["context_len", "test_mse"]
         assert [r[0] for r in rows[1:]] == ["2", "3"]
 
+    def test_one_finite_row_per_context(self, tmp_path):
+        # np on gaussian data: every C trains and scores its own cell
+        gen = tmp_path / "gen"
+        assert run(["generate", "--kind", "gaussian", "--cells", "15", "--timesteps",
+                    "8", "--features", "2", "--out", gen, "--quiet"]) == 0
+        cfg = {"model": {"kind": "np", "d_r": 8, "d_z": 4, "d_d": 4, "hidden": 8},
+               "train": {"steps": 3, "batch_size": 4}, "eval": {"contexts": 3},
+               "data": {"kind": "flux"}}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert run(["sweep-context", "--data", gen / "dataset.csv", "--config", p,
+                    "--contexts", "2,3", "--out", tmp_path / "sw", "--quiet"]) == 0
+        rows = read_csv(tmp_path / "sw" / "sweep.csv")[1:]
+        assert [r[0] for r in rows] == ["2", "3"]
+        assert all(np.isfinite(float(r[1])) for r in rows)
 
     def test_matches_train_at_eval_frequency(self, tmp_path, dataset):
         # training drops half the points; evaluation sees them all
@@ -202,10 +217,127 @@ class TestSweep:
                     "--contexts", "4", "--out", tmp_path / "sw", "--quiet"]) == 0
         assert run(["train", "--data", dataset, "--config", p,
                     "--out", tmp_path / "run", "--quiet"]) == 0
+        assert run(["compare", "--data", dataset, "--config", p, "--models", "nodep",
+                    "--out", tmp_path / "cmp", "--quiet"]) == 0
         swept = float(read_csv(tmp_path / "sw" / "sweep.csv")[1][1])
+        compared = float(read_csv(tmp_path / "cmp" / "comparison.csv")[1][2])
         unseen = [float(r[1]) for r in read_csv(tmp_path / "run" / "metrics.csv")[1:]
                   if r[2] == "1"]
         assert swept == pytest.approx(np.mean(unseen), rel=1e-12)
+        assert compared == swept
+
+
+@pytest.fixture
+def trains(monkeypatch):
+    """One entry per training run, through ``cli.train`` or ``training.train``."""
+    calls = []
+    real = training.train
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (cli, training):
+        monkeypatch.setattr(module, "train", counted)
+    return calls
+
+
+class TestCellsCheckedFirst:
+    """A multi-cell command checks every cell before the first one trains."""
+
+    @pytest.mark.parametrize("argv, output, message", [
+        # C=6 has target length 9 on 8 timesteps: no unseen timestep to score
+        (["sweep-context", "--contexts", "2,6"], "sweep.csv",
+         "train.target_len 9 leaves no unseen timesteps of the 8"),
+        (["compare", "--models", "nodep,bogus"], "comparison.csv",
+         "config section 'model': unknown model kind 'bogus'"),
+    ], ids=["sweep-context", "compare"])
+    def test_later_bad_cell_trains_nothing(self, tmp_path, dataset, cfg_path, trains,
+                                           capsys, argv, output, message):
+        assert run(argv + ["--data", dataset, "--config", cfg_path,
+                           "--out", tmp_path / "o", "--quiet"]) == 2
+        assert message in capsys.readouterr().err
+        assert trains == []
+        assert not (tmp_path / "o" / output).exists()
+
+    def test_compare_needs_unseen_timesteps(self, tmp_path, dataset, capsys):
+        # the unseen MSE is compare's only output
+        cfg = {**SMALL_CFG, "train": {**SMALL_CFG["train"], "target_len": 8}}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert run(["compare", "--data", dataset, "--config", p, "--models", "np",
+                    "--out", tmp_path / "cmp", "--quiet"]) == 2
+        assert "train.target_len 8 leaves no unseen timesteps of the 8" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "cmp" / "comparison.csv").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["compare", "--seeds", "0"], "--seeds"),
+        (["compare", "--seeds", "-2"], "--seeds"),
+        (["compare", "--models", ","], "--models"),
+        (["sweep-context", "--contexts", ","], "--contexts"),
+        (["sweep-context", "--contexts", "2,x"], "--contexts"),
+    ], ids=["seeds-zero", "seeds-negative", "models-empty", "contexts-empty",
+            "contexts-not-int"])
+    def test_bad_grid_flag_names_itself(self, tmp_path, dataset, cfg_path, trains,
+                                        capsys, argv, flag):
+        assert run(argv + ["--data", dataset, "--config", cfg_path,
+                           "--out", tmp_path / "o", "--quiet"]) == 2
+        assert f"error: {flag} " in capsys.readouterr().err
+        assert trains == []
+        assert not list(tmp_path.glob("o/*.csv"))
+
+
+class TestLstmSampling:
+    """The LSTM encoder needs every context timestep, so an LSTM kind is
+    rejected at a frequency below 1 before any work; other kinds are not."""
+
+    # train.frequency 0.5 needs context_len >= 4
+    FREQ_CFG = {**SMALL_CFG, "train": {**SMALL_CFG["train"], "context_len": 4,
+                                       "target_len": 6}}
+
+    def write_cfg(self, tmp_path, key, kind="snodep"):
+        section, _ = key.split(".")
+        cfg = {**self.FREQ_CFG, "model": {**SMALL_CFG["model"], "kind": kind}}
+        cfg[section] = {**cfg.get(section, {}), "frequency": 0.5}
+        p = tmp_path / f"{section}_{kind}.json"
+        p.write_text(json.dumps(cfg))
+        return p
+
+    @pytest.mark.parametrize("key", ["train.frequency", "eval.frequency"])
+    def test_train_rejected_before_work(self, tmp_path, dataset, capsys, key):
+        out = tmp_path / "run"
+        assert run(["train", "--data", dataset, "--config",
+                    self.write_cfg(tmp_path, key), "--out", out, "--quiet"]) == 2
+        assert f"needs {key} 1, got 0.5" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("key", ["train.frequency", "eval.frequency"])
+    def test_compare_rejects_lstm_cell_only(self, tmp_path, dataset, capsys, key,
+                                            trains):
+        # the base config's kind is snodep; only its cells' kinds count
+        cfg = self.write_cfg(tmp_path, key)
+        assert run(["compare", "--data", dataset, "--config", cfg, "--models",
+                    "nodep,snodep", "--out", tmp_path / "cmp", "--quiet"]) == 2
+        assert f"model.kind 'snodep' encodes with an LSTM, which needs {key} 1" in \
+            capsys.readouterr().err
+        assert trains == []
+        assert not (tmp_path / "cmp" / "comparison.csv").exists()
+        assert run(["compare", "--data", dataset, "--config", cfg, "--models",
+                    "nodep,snodep_gruode", "--out", tmp_path / "cmp", "--quiet"]) == 0
+
+    def test_evaluate_checks_eval_frequency_only(self, tmp_path, dataset, cfg_path,
+                                                 capsys):
+        out = tmp_path / "run"
+        assert run(["train", "--data", dataset, "--config", cfg_path, "--out", out,
+                    "--quiet"]) == 0
+        for key, code in (("eval.frequency", 2), ("train.frequency", 0)):
+            assert run(["evaluate", "--data", dataset, "--config",
+                        self.write_cfg(tmp_path, key), "--checkpoint",
+                        out / "checkpoint.npz", "--out", tmp_path / key,
+                        "--quiet"]) == code
+        assert "needs eval.frequency 1, got 0.5" in capsys.readouterr().err
+        assert not (tmp_path / "eval.frequency" / "metrics.csv").exists()
 
 
 class TestFluxCommands:

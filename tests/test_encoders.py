@@ -202,11 +202,11 @@ class TestLatentHeads:
     def test_shapes_and_families(self):
         r = Tensor(self.rng.normal(size=(2, 6)))
         l0, d = latent_params(r, self.heads, "normal")
-        assert isinstance(l0, DiagNormal) and isinstance(d, DiagNormal)
+        assert type(l0) is DiagNormal and type(d) is DiagNormal
         assert l0.mu.shape == (2, 4) and d.mu.shape == (2, 3)
         assert np.all(l0.sigma.values > 0) and np.all(d.sigma.values > 0)
         l0, d = latent_params(r, self.heads, "lognormal")
-        assert isinstance(l0, LogNormalD) and isinstance(d, LogNormalD)
+        assert type(l0) is LogNormalD and type(d) is LogNormalD
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from snodep.ode import SolverConfig
 from snodep.training import (
     TrainConfig,
     TrajectoryBatch,
-    context_sweep,
     draw_presence_mask,
     elbo_loss,
     evaluate,
@@ -286,15 +285,3 @@ class TestEvaluate:
         model = ProcessModel(small_cfg("np"), seed=0)
         with pytest.raises(ValidationError, match="n_contexts must be >= 1, got 0"):
             evaluate(model, ds, 3, 4, np.random.default_rng(0), n_contexts=0)
-
-    def test_context_sweep_checks_horizon(self):
-        ds, _ = generate_synthetic("gaussian", 2, 6, 10, seed=0)
-        with pytest.raises(ValidationError):
-            context_sweep(ds, [4], small_cfg("np"), TrainConfig(steps=1))
-
-    def test_context_sweep_rows(self):
-        ds, _ = generate_synthetic("gaussian", 2, 8, 15, seed=0)
-        rows = context_sweep(ds, [2, 3], small_cfg("np"),
-                             TrainConfig(steps=3, batch_size=4), n_contexts=3)
-        assert [r[0] for r in rows] == [2, 3]
-        assert all(np.isfinite(r[1]) for r in rows)
