@@ -4,8 +4,9 @@ building, training, evaluation, comparison, and context sweeps.
 ``train``, ``compare`` and ``sweep-context`` run cells, one merged config each,
 through ``_compare_cell``: the one path that builds, trains and scores a model.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure. All artifacts
-are CSV (plus .npz checkpoints); plotting is left to external tools.
+Exit codes: 0 success, 2 validation error, 3 numerical failure. Artifacts are
+CSV tables, .npz checkpoints and JSON records (``spec.json``, ``config.json``,
+``meta.json``); plotting is left to external tools.
 """
 
 from __future__ import annotations
@@ -91,6 +92,15 @@ def _run_cells(args, ds, grid):
             raise ValidationError(f"train.target_len {cfg['train']['target_len']} "
                                   f"leaves no unseen timesteps of the {ds.n_timesteps}")
     return [_compare_cell(cfg, ds)[2].unseen_mse for cfg in cells]
+
+
+def _print_unseen(report, cfg):
+    """The headline unseen test-MSE, or why there is none to print."""
+    if report.unseen_indices.size:
+        print(f"unseen-timestep test-MSE: {report.unseen_mse:.6f}")
+    else:
+        print(f"no unseen timestep to score: train.target_len "
+              f"{cfg['train']['target_len']} covers all {len(report.times)} timesteps")
 
 
 def _list_flag(flag, text, parse=str):
@@ -204,7 +214,7 @@ def cmd_train(args):
     with open(os.path.join(out, "config.json"), "w") as fh:
         json.dump(cfg, fh, indent=2)
     if not args.quiet:
-        print(f"unseen-timestep test-MSE: {report.unseen_mse:.6f}")
+        _print_unseen(report, cfg)
     return 0
 
 
@@ -238,7 +248,7 @@ def cmd_evaluate(args):
     report = _evaluate(model, ds, train_cfg, cfg)
     _write_metrics(os.path.join(out, "metrics.csv"), report)
     if not args.quiet:
-        print(f"unseen-timestep test-MSE: {report.unseen_mse:.6f}")
+        _print_unseen(report, cfg)
     return 0
 
 

@@ -71,9 +71,7 @@ class LogNormalD(DiagNormal):
         x = x if isinstance(x, Tensor) else Tensor(x)
         _check_positive("LogNormal log_prob input", x)
         log_x = T.log(x)
-        z = (log_x - self.mu) / self.sigma
-        per_dim = -0.5 * _LOG_2PI - T.log(self.sigma) - 0.5 * T.square(z) - log_x
-        return T.tsum(per_dim, axis=-1)
+        return super().log_prob(log_x) - T.tsum(log_x, axis=-1)
 
 
 class PoissonD:

@@ -30,28 +30,25 @@ class MLP:
     def __call__(self, x, shift=None, t=None):
         """The network on ``x`` (2-d), as one tape node.
 
-        With ``shift``, the first layer takes a split input: ``x`` meets the
-        leading rows of its weight, ``shift`` (from :meth:`first_layer_shift`)
-        stands for the middle rows and the bias, and a scalar ``t`` meets the
-        last row. Inputs that stay fixed over many calls are projected once.
+        With ``shift`` and ``t``, the first layer takes a split input: ``x``
+        meets the leading rows of its weight, ``shift`` (from
+        :meth:`first_layer_shift`) stands for the middle rows and the bias, and
+        the scalar ``t`` meets the last row. Inputs that stay fixed over many
+        calls are projected once.
         """
         x = T._coerce(x)
         ws = [w.values for w, _ in self.layers]
         if x.values.ndim != 2:
             raise ShapeError(f"mlp: expects a 2-d input, got shape {x.shape}")
         n, k, rows = len(ws), x.values.shape[1], ws[0].shape[0]
-        if shift is None:
-            fits = k == rows and t is None
-        else:
-            fits = k + (t is not None) <= rows
-        if not fits:
+        if (shift is None) != (t is None):
+            raise ShapeError("mlp: a split input takes both shift and t")
+        if (k != rows) if shift is None else (k >= rows):
             raise ShapeError(f"mlp: input of width {k} does not fit {rows} weight rows")
         acts = [x.values]                 # the input of each layer, then the output
         for i, (w, b) in enumerate(self.layers):
             if i == 0 and shift is not None:
-                z = acts[0] @ ws[0][:k] + shift.values
-                if t is not None:
-                    z = z + t * ws[0][-1]
+                z = acts[0] @ ws[0][:k] + shift.values + t * ws[0][-1]
             else:
                 z = acts[-1] @ ws[i] + b.values
             acts.append(np.tanh(z) if i < n - 1 else z)
@@ -71,8 +68,7 @@ class MLP:
                 if i == 0 and shift_shape is not None:
                     gw = np.zeros_like(ws[0])
                     gw[:k] = acts[0].T @ g
-                    if t is not None:
-                        gw[-1] = t * g.sum(axis=0)
+                    gw[-1] = t * g.sum(axis=0)
                     grads += [gw, T._unbroadcast(g, shift_shape)]
                     g_in = g @ ws[0][:k].T if need_x else None
                 else:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import threading
 
 import numpy as np
@@ -379,21 +380,7 @@ def reshape(a, shape):
     return fused("reshape", out, (a,), bwd)
 
 
-# ln(n!) cache, extended on demand; entry i holds ln(i!)
-_LN_FACT = np.zeros(1)
-
-
-def _ln_factorial_table(n_max):
-    # Read the shared table once and return what was extended locally: another
-    # thread may store a different (shorter) table between any two reads.
-    global _LN_FACT
-    table = _LN_FACT
-    if n_max >= table.size:
-        start = table.size
-        ext = table[-1] + np.cumsum(np.log(np.arange(start, n_max + 1, dtype=np.float64)))
-        table = np.concatenate([table, ext])
-        _LN_FACT = table
-    return table
+_LGAMMA = np.frompyfunc(math.lgamma, 1, 1)
 
 
 def lgamma_int(k):
@@ -402,15 +389,14 @@ def lgamma_int(k):
     Constant with respect to any tracked input; the result is never tracked.
     """
     kv = k.values if isinstance(k, Tensor) else np.asarray(k, dtype=np.float64)
-    if np.any(kv != np.round(kv)):
-        idx = np.argwhere(kv != np.round(kv))[0]
+    bad = ~np.isfinite(kv) | (kv != np.round(kv))
+    if np.any(bad):
+        idx = np.argwhere(bad)[0]
         raise DomainError(f"lgamma_int: non-integer input at index {tuple(idx)}")
     if np.any(kv < 1):
         idx = np.argwhere(kv < 1)[0]
         raise DomainError(f"lgamma_int: input < 1 at index {tuple(idx)}")
-    ki = kv.astype(np.int64)
-    table = _ln_factorial_table(int(ki.max()) - 1 if ki.size else 0)
-    return Tensor(table[ki - 1], op="lgamma_int")
+    return Tensor(np.asarray(_LGAMMA(kv), dtype=np.float64), op="lgamma_int")
 
 
 def _reach(out, stop=()):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,11 @@ def finite_diff(f, x, h=1e-6):
         xm[idx] -= h
         g[idx] = (f(xp) - f(xm)) / (2.0 * h)
     return g
+
+
+def at_index(*idx):
+    """The pattern of a DomainError's ``at index (...)``, as numpy prints it."""
+    return "at index " + re.escape(str(tuple(np.intp(i) for i in idx)))
 
 
 def linear_field(matrix):

@@ -99,6 +99,23 @@ class TestTrainEvaluate:
                     "--quiet"]) == 0
         assert (ev / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
 
+    def test_no_unseen_timestep_is_said(self, tmp_path, dataset, capsys):
+        # target_len 8 on 8 timesteps leaves none unseen: say so instead of nan
+        cfg = {**SMALL_CFG, "train": {**SMALL_CFG["train"], "target_len": 8}}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        out, ev = tmp_path / "run", tmp_path / "ev"
+        assert run(["train", "--data", dataset, "--config", p, "--out", out]) == 0
+        assert run(["evaluate", "--data", dataset, "--config", p,
+                    "--checkpoint", out / "checkpoint.npz", "--out", ev]) == 0
+        printed = capsys.readouterr().out
+        assert "nan" not in printed.lower()
+        assert printed.count("no unseen timestep to score: train.target_len 8 "
+                             "covers all 8 timesteps\n") == 2
+        metrics = read_csv(out / "metrics.csv")
+        assert len(metrics) == 1 + 8 and all(row[2] == "0" for row in metrics[1:])
+        assert (ev / "metrics.csv").read_bytes() == (out / "metrics.csv").read_bytes()
+
     def test_preprocess_then_train_gaussian(self, tmp_path, dataset, cfg_path):
         pre = tmp_path / "pre"
         assert run(["preprocess", "--data", dataset, "--config", cfg_path,

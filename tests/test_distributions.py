@@ -17,6 +17,7 @@ from snodep.distributions import (
 )
 from snodep.tensor import DomainError, Tensor, backward
 from snodep import tensor as T
+from tests.conftest import at_index
 
 
 class TestNormal:
@@ -106,6 +107,11 @@ class TestPoisson:
             d.log_prob(np.array([[1.5]]))
         with pytest.raises(DomainError):
             d.log_prob(np.array([[-1.0]]))
+
+    def test_rejects_infinite_count(self):
+        d = PoissonD(np.full((2, 2), 2.5))
+        with pytest.raises(DomainError, match="non-integer input " + at_index(1, 0)):
+            d.log_prob(np.array([[1.0, 2.0], [np.inf, 3.0]]))
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(DomainError):

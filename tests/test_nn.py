@@ -145,6 +145,9 @@ class TestHoistedTrunkField:
         shift = Tensor(np.zeros((2, 6)))
         with pytest.raises(ShapeError):
             self.trunk(Tensor(np.ones((2, 8))), shift, 0.5)
+        # a split input without its time row
+        with pytest.raises(ShapeError):
+            self.trunk(Tensor(np.ones((2, self.d_z))), shift)
 
 
 # ---- recurrent cells ----

@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 
@@ -22,7 +24,7 @@ from snodep.tensor import (
     restore_checkpoint,
     save_checkpoint,
 )
-from tests.conftest import finite_diff
+from tests.conftest import at_index, finite_diff
 
 
 def grad_of(build_loss, x0):
@@ -269,22 +271,44 @@ class TestValidation:
         with pytest.raises(DomainError):
             T.lgamma_int(np.array([0.0]))
 
+    def test_lgamma_int_rejects_non_finite(self):
+        with pytest.raises(DomainError, match="lgamma_int: non-integer input " + at_index(1)):
+            T.lgamma_int(np.array([2.0, np.inf]))
+
     def test_lgamma_int_never_tracked(self):
         out = T.lgamma_int(Tensor([3.0], requires_grad=True))
         assert not out.requires_grad
 
 
+class TestLgammaIntState:
+    def test_values_do_not_depend_on_earlier_calls(self):
+        # One interpreter computes ln((k-1)!) for k < 400 first; another after
+        # calls on 2, 9, 16, ... 394. Each k has one value, bit for bit.
+        script = ("import sys\n"
+                  "import numpy as np\n"
+                  "from snodep import tensor as T\n"
+                  "if sys.argv[1] == 'after':\n"
+                  "    for k in range(2, 400, 7):\n"
+                  "        T.lgamma_int(k)\n"
+                  "print(T.lgamma_int(np.arange(1, 400)).values.tobytes().hex())\n")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(T.__file__))}
+        first, after = (subprocess.run([sys.executable, "-c", script, mode], env=env,
+                                       capture_output=True, text=True, check=True).stdout
+                        for mode in ("first", "after"))
+        assert len(first) == 2 * 8 * 399 + 1
+        assert first == after
+
+
 class TestThreads:
-    def test_ln_factorial_table_under_threads(self, monkeypatch):
-        # Three threads grow the shared ln(n!) table from empty while the
-        # interpreter switches threads as often as it can. Each must get back
-        # a table long enough and right for its own request.
+    def test_lgamma_int_under_threads(self):
+        # Three threads call lgamma_int while the interpreter switches threads
+        # as often as it can. Each must get back the right value for its own
+        # request.
         ref = scipy.special.gammaln(np.arange(1.0, 5001.0))
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                monkeypatch.setattr(T, "_LN_FACT", np.zeros(1))
                 errors = []
                 start = threading.Barrier(3)
 
