@@ -4,6 +4,8 @@ dataset builder.
 Interchange format is long CSV: a ``time,sample_id,f0,f1,...`` header, then
 one line per sample. Values are written as Python's shortest round-trip
 ``repr`` with ``\r\n`` line ends, so a saved dataset loads back bit for bit.
+Where a timestep's values mostly repeat, each distinct value is formatted
+once for that timestep; the bytes are the same as formatting every value.
 On load ``sample_id`` is ignored, blank lines are skipped, rows are grouped
 into ascending times with samples in file order, and a non-finite time, a
 row whose width differs from the header's or a file with no data rows is a
@@ -76,15 +78,42 @@ class TimeSeriesDataset:
         return len(self.feature_names)
 
 
+_PROBE = 1000
+
+
 def save_timeseries_csv(path, ds: TimeSeriesDataset):
+    """Write ``ds`` as the long CSV, each value as its shortest round-trip
+    ``repr``. Where a timestep's values mostly repeat, each distinct value
+    is formatted once; the bytes are the same either way."""
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["time", "sample_id"] + list(ds.feature_names))
         for t, mat in zip(ds.times, ds.samples):
             lead = repr(float(t))
-            cols = np.asarray(mat, dtype=np.float64).T.tolist()
             # one string per timestep, not per file, bounds peak memory
-            fh.write("".join(",".join([lead, str(j), *map(repr, col)]) + "\r\n"
-                             for j, col in enumerate(cols)))
+            fh.write("".join(",".join([lead, str(j), *row]) + "\r\n"
+                             for j, row in enumerate(_value_texts(mat))))
+
+
+def _value_texts(mat):
+    """The ``repr`` of each value of a ``(d, n)`` matrix, one row per sample.
+
+    Every k-th sample row is probed, about ``_PROBE`` values in all; whole
+    rows, because a flat stride that is a multiple of the row width would
+    probe one feature only. If at most half of the probe's values are
+    distinct, each distinct float64 bit pattern is formatted once and its
+    text indexed. Bits, not values, are compared, so ``-0.0`` and ``0.0``
+    keep their own text. Mostly distinct data skips the sort, which would
+    save nothing.
+    """
+    values = np.ascontiguousarray(np.asarray(mat, dtype=np.float64).T)
+    bits = values.view(np.int64)
+    probe = bits[::max(1, bits.size // _PROBE)]
+    if 2 * np.unique(probe).size > probe.size:
+        return (map(repr, row) for row in values.tolist())
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    # numpy 1.26 returns the inverse flat, numpy 2 in the input's shape
+    return text[inverse.reshape(bits.shape)].tolist()
 
 
 def load_timeseries_csv(path, kind, normalized=False, knockout=False):

@@ -83,8 +83,9 @@ class PoissonD:
 
     def log_prob(self, k):
         kv = k.values if isinstance(k, Tensor) else np.asarray(k, dtype=np.float64)
-        if np.any(kv != np.round(kv)) or np.any(kv < 0):
-            bad = (kv != np.round(kv)) | (kv < 0)
+        # rejected here, before k * log(lam) can form inf * 0 where lam is 1
+        bad = ~np.isfinite(kv) | (kv != np.round(kv)) | (kv < 0)
+        if bad.any():
             idx = np.argwhere(bad)[0]
             raise DomainError(f"Poisson log_prob: invalid count at index {tuple(idx)}")
         k_const = Tensor(kv)

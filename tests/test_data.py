@@ -21,6 +21,7 @@ from snodep.data import (
     save_pathway_json,
     save_timeseries_csv,
     top_expressed_genes,
+    _value_texts,
 )
 
 
@@ -124,6 +125,32 @@ class TestCsvRoundTrip:
         reference_save(want, ds)
         assert got.read_bytes() == want.read_bytes()
 
+    def test_repeated_values_keep_their_bits(self, tmp_path):
+        ds = dataset_of([repeat_heavy(seed, n) for seed, n in enumerate([300, 7, 1000])])
+        assert all(formats_distinct_once(mat) for mat in ds.samples)
+        assert_saves_like_row_writer(tmp_path, ds)
+
+    def test_distinct_values_take_direct_path(self, tmp_path):
+        ds = dataset_of([all_distinct(seed, n) for seed, n in enumerate([300, 7, 1000])])
+        assert not any(formats_distinct_once(mat) for mat in ds.samples)
+        assert_saves_like_row_writer(tmp_path, ds)
+
+    def test_file_mixing_both_kinds_of_timestep(self, tmp_path):
+        ds = dataset_of([repeat_heavy(0, 50), all_distinct(1, 50), repeat_heavy(2, 9),
+                         all_distinct(3, 400)])
+        assert [formats_distinct_once(mat) for mat in ds.samples] == [True, False, True, False]
+        assert_saves_like_row_writer(tmp_path, ds)
+
+    @pytest.mark.parametrize("d, n", [(1, 1), (1, 60)])
+    @pytest.mark.parametrize("repeats", [True, False])
+    def test_single_feature_timesteps(self, tmp_path, d, n, repeats):
+        rng = np.random.default_rng(d * n)
+        values = (rng.integers(0, 3, size=(d, n)).astype(float) if repeats
+                  else rng.normal(size=(d, n)))
+        ds = TimeSeriesDataset("flux", [0.0, 2.0], [values, -values], ["m0"])
+        assert formats_distinct_once(values) == (repeats and n > 1)
+        assert_saves_like_row_writer(tmp_path, ds)
+
     def test_load_matches_dict_grouping_on_shuffled_rows(self, tmp_path):
         rng = np.random.default_rng(11)
         time_pool = ["3.0", "-1.5", "0.0", "-0.0", "2.25", "1e-3"]
@@ -209,6 +236,59 @@ def reference_save(path, ds):
         for t, mat in zip(ds.times, ds.samples):
             for j in range(mat.shape[1]):
                 writer.writerow([repr(float(t)), j] + [repr(float(v)) for v in mat[:, j]])
+
+
+NAN_PAYLOADS = np.array([0x7FF8000000000001, 0x7FF80000DEADBEEF, -0x0008000000000000,
+                         0x7FF0000000000001], dtype=np.int64).view(np.float64)
+
+
+def repeat_heavy(seed, n, d=8):
+    """Counts beside a column of -0.0 and 0.0, NaNs of several payloads,
+    +-inf and tiled 0/1 indicator rows: few distinct bit patterns."""
+    rng = np.random.default_rng(seed)
+    mat = np.empty((d, n))
+    mat[0] = rng.choice([-0.0, 0.0], size=n)
+    mat[1] = rng.choice(np.concatenate([NAN_PAYLOADS, [1.0, 2.0]]), size=n)
+    mat[2] = rng.choice([np.inf, -np.inf, 3.0], size=n)
+    mat[3] = rng.poisson(2.0, size=n)
+    mat[4:] = rng.integers(0, 2, size=(d - 4, 1))
+    return mat
+
+
+def all_distinct(seed, n, d=8):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(d, n)) * 10.0 ** rng.integers(-300, 300, size=(d, n))
+
+
+def dataset_of(samples):
+    d = samples[0].shape[0]
+    return TimeSeriesDataset("flux", np.arange(len(samples)) * 0.5, samples,
+                             [f"m{i}" for i in range(d)])
+
+
+def formats_distinct_once(mat):
+    """Whether the writer indexes texts of distinct values for ``mat``; that
+    path returns a list of rows, the direct one a generator."""
+    return isinstance(_value_texts(mat), list)
+
+
+def assert_same_bits(got, want):
+    """Equal NaN positions and equal float64 bits, sign bits included,
+    elsewhere; a NaN's payload and sign do not survive its ``nan`` text."""
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def assert_saves_like_row_writer(tmp_path, ds):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    save_timeseries_csv(got, ds)
+    reference_save(want, ds)
+    assert got.read_bytes() == want.read_bytes()
+    back = load_timeseries_csv(got, ds.kind)
+    assert_same_bits(back.times, ds.times)
+    for a, b in zip(back.samples, ds.samples):
+        assert_same_bits(a, b)
 
 
 def reference_load(path):

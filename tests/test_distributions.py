@@ -110,7 +110,13 @@ class TestPoisson:
 
     def test_rejects_infinite_count(self):
         d = PoissonD(np.full((2, 2), 2.5))
-        with pytest.raises(DomainError, match="non-integer input " + at_index(1, 0)):
+        with pytest.raises(DomainError, match="invalid count " + at_index(1, 0)):
+            d.log_prob(np.array([[1.0, 2.0], [np.inf, 3.0]]))
+
+    def test_rejects_infinite_count_at_unit_rate(self):
+        # k * log(lam) is inf * 0 here, so inf must be rejected before it is formed
+        d = PoissonD(np.ones((2, 2)))
+        with pytest.raises(DomainError, match="invalid count " + at_index(1, 0)):
             d.log_prob(np.array([[1.0, 2.0], [np.inf, 3.0]]))
 
     def test_rejects_nonpositive_rate(self):
