@@ -95,15 +95,17 @@ def save_timeseries_csv(path, ds: TimeSeriesDataset):
 
 
 def _value_texts(mat):
-    """The ``repr`` of each value of a ``(d, n)`` matrix, one row per sample.
+    """An iterator over the ``repr`` texts of a ``(d, n)`` matrix's values,
+    one row per sample.
 
     Every k-th sample row is probed, about ``_PROBE`` values in all; whole
     rows, because a flat stride that is a multiple of the row width would
     probe one feature only. If at most half of the probe's values are
     distinct, each distinct float64 bit pattern is formatted once and its
     text indexed. Bits, not values, are compared, so ``-0.0`` and ``0.0``
-    keep their own text. Mostly distinct data skips the sort, which would
-    save nothing.
+    keep their own text. Mostly distinct data formats each value as it is
+    written: on all-distinct values the sort and the texts held for the
+    index make a save about a fifth slower (``BENCH_22.json``).
     """
     values = np.ascontiguousarray(np.asarray(mat, dtype=np.float64).T)
     bits = values.view(np.int64)
@@ -113,7 +115,7 @@ def _value_texts(mat):
     distinct, inverse = np.unique(bits, return_inverse=True)
     text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
     # numpy 1.26 returns the inverse flat, numpy 2 in the input's shape
-    return text[inverse.reshape(bits.shape)].tolist()
+    return iter(text[inverse.reshape(bits.shape)].tolist())
 
 
 def load_timeseries_csv(path, kind, normalized=False, knockout=False):
